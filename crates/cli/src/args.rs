@@ -279,8 +279,7 @@ pub struct ServeOpts {
     pub queue_depth: usize,
     /// Result-cache capacity in entries (0 disables the cache).
     pub cache_entries: usize,
-    /// Per-request wall-clock deadline in milliseconds (0 disables the
-    /// watchdog).
+    /// Per-request wall-clock deadline cap in milliseconds.
     pub deadline_ms: u64,
     /// Largest accepted request line in bytes.
     pub max_request_bytes: usize,
@@ -1235,8 +1234,8 @@ mod tests {
             parse(&argv("serve --journal-dir")).is_err(),
             "needs a value"
         );
-        // Cache 0 (disabled), deadline 0 (no watchdog) and socket
-        // timeouts 0 (blocking sockets) stay legal.
+        // Cache 0 (disabled), deadline 0 and socket timeouts 0
+        // (blocking sockets) stay legal.
         assert!(parse(&argv(
             "serve --cache-entries 0 --deadline-ms 0 --read-timeout-ms 0 --write-timeout-ms 0"
         ))

@@ -4,8 +4,9 @@ use std::collections::HashMap;
 
 use powerchop::{
     read_meta, run_program, run_program_traced, ManagerKind, RunConfig, RunReport, Simulation,
-    SnapshotMeta,
+    SnapshotMeta, STEP_CHUNK,
 };
+use powerchop_durable::write_atomic;
 use powerchop_faults::FaultConfig;
 use powerchop_gisa::Program;
 use powerchop_telemetry::export::JsonWriter;
@@ -16,10 +17,6 @@ use powerchop_workloads::{Benchmark, Scale, Suite};
 
 use crate::args::{Command, ManagerArg, RunOpts, USAGE};
 use crate::CliError;
-
-/// Dispatch-loop iterations per [`Simulation::step_chunk`] call when a
-/// command steps a run incrementally (checkpointing, supervision).
-pub(crate) const STEP_CHUNK: u64 = 65_536;
 
 /// Executes a parsed command.
 ///
@@ -531,15 +528,6 @@ pub(crate) fn prepare_run(
             storm,
         },
     })
-}
-
-/// Writes `bytes` to `path` atomically (temp file + rename), so a crash
-/// mid-write can never leave a half-written snapshot under the real name.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), CliError> {
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: RunOpts) -> Result<(), CliError> {

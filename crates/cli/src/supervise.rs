@@ -1,8 +1,8 @@
 //! The supervised batch runner: a crash-safe work queue for benchmark
 //! sweeps.
 //!
-//! Each benchmark run gets a wall-clock deadline (enforced by a watchdog
-//! thread that cancels the run cooperatively), panic isolation via
+//! Each benchmark run gets a wall-clock deadline (checked at every step
+//! chunk boundary, so the run stops cooperatively), panic isolation via
 //! `catch_unwind`, retries with exponential backoff up to a capped
 //! attempt count, and periodic crash-safe checkpoints. Progress is
 //! journaled to an append-only file, so killing the sweep at any point —
@@ -11,7 +11,7 @@
 //! resumes from its last checkpoint instead of starting over.
 //!
 //! The sweep fans out over `--jobs` slots on the `powerchop-exec` pool.
-//! Each slot owns its benchmark end-to-end: its watchdog is spawned at
+//! Each slot owns its benchmark end-to-end: its deadline is fixed at
 //! that run's own start (a slot never inherits wall-clock time another
 //! slot has already burned), journal appends are mutex-serialized around
 //! the fsync, and console output is buffered per run so slots don't
@@ -25,17 +25,15 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{RunReport, Simulation};
+use powerchop::{RunReport, Simulation, STEP_CHUNK};
+use powerchop_durable::write_atomic;
 use powerchop_telemetry::Tracer;
 
 use crate::args::{RunOpts, SuperviseOpts};
-use crate::commands::{
-    per_bench_path, prepare_run, tracer_for, write_atomic, write_telemetry, PreparedRun, STEP_CHUNK,
-};
+use crate::commands::{per_bench_path, prepare_run, tracer_for, write_telemetry, PreparedRun};
 use crate::CliError;
 
 /// The journal file name inside the supervisor state directory.
@@ -161,14 +159,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one attempt of one benchmark: resume from the checkpoint when a
 /// usable one exists, step in chunks, checkpoint periodically, and bail
-/// out (persisting progress) when the watchdog raises `cancel`. Returns
-/// the outcome plus whether the attempt resumed from a checkpoint.
+/// out (persisting progress) at the first chunk boundary past `deadline`
+/// (`None` never expires). Returns the outcome plus whether the attempt
+/// resumed from a checkpoint.
 fn run_attempt(
     pr: &PreparedRun,
     opts: &RunOpts,
     ckpt_path: &Path,
     checkpoint_every: u64,
-    cancel: &AtomicBool,
+    deadline: Option<Instant>,
 ) -> (AttemptOutcome, bool) {
     let mut resumed = false;
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutcome, CliError> {
@@ -197,7 +196,7 @@ fn run_attempt(
         }
         let mut last_checkpoint = sim.retired();
         while !sim.is_done() {
-            if cancel.load(Ordering::Relaxed) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 // Persist progress before dying so the retry (or the
                 // next invocation) resumes instead of starting over.
                 write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?;
@@ -233,9 +232,9 @@ struct Row {
 }
 
 /// Supervises one benchmark in one pool slot: skip when already terminal,
-/// otherwise up to `max_attempts` watchdogged attempts with retries and
-/// backoff. The watchdog is spawned here, at each attempt's own start, so
-/// a slot's deadline covers only its own run — never wall-clock time
+/// otherwise up to `max_attempts` deadline-bounded attempts with retries
+/// and backoff. The deadline is fixed here, at each attempt's own start,
+/// so a slot's deadline covers only its own run — never wall-clock time
 /// other slots or earlier runs already burned. Console output is buffered
 /// and printed as one block per finished run.
 #[allow(clippy::too_many_arguments)]
@@ -286,24 +285,11 @@ fn supervise_slot(
     for attempt in 1..=max_attempts {
         row.attempts = attempt;
         shared.append(&format!("start {name} attempt {attempt}"))?;
-
-        // Watchdog: trips the cancel flag once the deadline passes;
-        // released early through the channel when the attempt ends.
-        // A zero deadline is already expired, so it trips here
-        // rather than racing the watchdog thread's first schedule.
-        let cancel = Arc::new(AtomicBool::new(sup.deadline_ms == 0));
-        let watchdog_flag = Arc::clone(&cancel);
-        let (release, released) = mpsc::channel::<()>();
-        let deadline = Duration::from_millis(sup.deadline_ms);
-        let watchdog = std::thread::spawn(move || {
-            if released.recv_timeout(deadline).is_err() {
-                watchdog_flag.store(true, Ordering::Relaxed);
-            }
-        });
+        // A zero deadline is already expired at the first boundary; one
+        // too far out to represent never expires.
         let started = Instant::now();
-        let (outcome, resumed) = run_attempt(&pr, opts, &ckpt_path, sup.checkpoint_every, &cancel);
-        let _ = release.send(());
-        let _ = watchdog.join();
+        let deadline = started.checked_add(Duration::from_millis(sup.deadline_ms));
+        let (outcome, resumed) = run_attempt(&pr, opts, &ckpt_path, sup.checkpoint_every, deadline);
         row.resumed = row.resumed || resumed;
         let elapsed = started.elapsed();
 

@@ -29,15 +29,15 @@
 
 pub mod pool;
 
-pub use pool::{JobHandle, SubmitError, WorkerPool};
+pub use pool::{SubmitError, WorkerPool};
 
 /// A panic payload that deliberately kills the worker thread running
 /// the job.
 ///
-/// Ordinary job panics are contained: the job's handle resolves to a
-/// [`JobPanic`] and the worker survives to serve the next job.
+/// Ordinary job panics are contained: the job's completion callback
+/// receives a [`JobPanic`] and the worker survives to serve the next job.
 /// Panicking with this sentinel (`std::panic::panic_any(KillWorker)`)
-/// still resolves the handle first — the affected caller gets its typed
+/// still calls the callback first — the affected caller gets its typed
 /// error — but then re-raises through the worker loop so the thread
 /// actually dies. It exists so tests and the serve-layer chaos ops can
 /// exercise the pool's supervision/respawn path deterministically.

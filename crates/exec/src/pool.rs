@@ -1,10 +1,10 @@
-//! A persistent worker pool with individually awaitable job handles and
-//! a bounded queue.
+//! A persistent worker pool with per-job completion callbacks and a
+//! bounded queue.
 //!
 //! [`run_jobs`](crate::run_jobs) is the sweep engine: it takes a whole
 //! job list up front, fans it out on scoped threads and joins. A
 //! long-lived server has the opposite shape — jobs arrive one at a time,
-//! each caller wants to await *its* result, and when the backlog grows
+//! each caller wants *its* result delivered, and when the backlog grows
 //! the right answer is an explicit "busy" to the caller rather than an
 //! unbounded queue. [`WorkerPool`] provides that shape:
 //!
@@ -12,27 +12,28 @@
 //!   [`SubmitError::Busy`] once `queue_depth` jobs are waiting, so
 //!   callers can shed load instead of letting latency grow without
 //!   bound.
-//! - **Individually awaitable handles.** Each accepted job returns a
-//!   [`JobHandle`]; [`JobHandle::wait`] blocks only on that job.
+//! - **Completion callbacks.** Each accepted job carries a callback the
+//!   worker calls with the job's result once it finishes, on the same
+//!   worker thread. Nobody blocks waiting for a result, so a caller
+//!   needs no thread of its own per job.
 //! - **Panic isolation.** Jobs run under `catch_unwind`; a panicking job
-//!   resolves its own handle to [`JobPanic`] and the worker lives on.
+//!   hands its callback a [`JobPanic`] and the worker lives on.
 //! - **Worker supervision.** A worker thread that dies anyway (the
-//!   [`KillWorker`](crate::KillWorker) sentinel, or a panic in the
-//!   pool's own bookkeeping) is detected by a drop guard on the dying
-//!   thread, which repairs the in-flight accounting and spawns a
-//!   replacement. Restarts are rate-limited by a
+//!   [`KillWorker`](crate::KillWorker) sentinel, or a panicking
+//!   callback) is detected by a drop guard on the dying thread, which
+//!   repairs the liveness accounting and spawns a replacement. Restarts
+//!   are rate-limited by a
 //!   [`RestartTracker`](powerchop_resilience::RestartTracker): past the
 //!   storm threshold the pool latches [`WorkerPool::gave_up`] and sheds
 //!   new submissions with [`SubmitError::Unavailable`] — but keeps
-//!   respawning, so handles for already-queued jobs still resolve.
-//! - **Graceful drain.** Dropping (or [`WorkerPool::close`]-ing) the
+//!   respawning, so jobs already queued still run and call back.
+//! - **Graceful shutdown.** Dropping (or [`WorkerPool::close`]-ing) the
 //!   pool stops admission, runs everything already queued, and joins
-//!   the workers; [`WorkerPool::drain`] waits for idleness without
-//!   tearing the pool down.
+//!   the workers — every one but the caller's own, when a callback
+//!   holding the pool's last owner drops it on a worker.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -40,7 +41,9 @@ use powerchop_resilience::{RestartPolicy, RestartTracker};
 
 use crate::JobPanic;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job: runs the caller's work, settles the pool's accounting,
+/// then calls the caller's completion callback.
+type Job = Box<dyn FnOnce(&PoolShared) + Send + 'static>;
 
 /// Why [`WorkerPool::submit`] refused a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,8 +109,6 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled when a job is queued or the pool closes.
     work_ready: Condvar,
-    /// Signalled when a worker finishes a job (for [`WorkerPool::drain`]).
-    job_done: Condvar,
     /// Zero point of the supervision clock (restart-window accounting).
     epoch: Instant,
     /// Restart-rate accounting for the supervisor.
@@ -158,7 +159,6 @@ impl WorkerPool {
                 replacements: Vec::new(),
             }),
             work_ready: Condvar::new(),
-            job_done: Condvar::new(),
             epoch: Instant::now(),
             restarts: Mutex::new(RestartTracker::new(policy)),
         });
@@ -175,16 +175,20 @@ impl WorkerPool {
         }
     }
 
-    /// Submits one job and returns a handle to await its result.
+    /// Submits one job. A worker runs it and then calls `done` with its
+    /// result, or with the [`JobPanic`] it raised (the submission
+    /// sequence number is the index), on the same worker thread.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Busy`] when the queue already holds `queue_depth`
-    /// waiting jobs, [`SubmitError::Closed`] when the pool is draining.
-    pub fn submit<T, F>(&self, job: F) -> Result<JobHandle<T>, SubmitError>
+    /// waiting jobs, [`SubmitError::Closed`] when the pool is draining,
+    /// [`SubmitError::Unavailable`] past the restart-storm threshold.
+    /// A refused job and its callback are dropped uncalled.
+    pub fn submit<T, F, D>(&self, job: F, done: D) -> Result<(), SubmitError>
     where
-        T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
+        D: FnOnce(Result<T, JobPanic>) + Send + 'static,
     {
         let mut st = lock(&self.shared.state);
         if !st.open {
@@ -200,37 +204,25 @@ impl WorkerPool {
         }
         let index = usize::try_from(st.submitted).unwrap_or(usize::MAX);
         st.submitted += 1;
-        let slot = Arc::new(Slot {
-            cell: Mutex::new(None),
-            done: Condvar::new(),
-            queue_wait_ns: AtomicU64::new(0),
-        });
-        let out = Arc::clone(&slot);
-        let enqueued = Instant::now();
-        st.queue.push_back(Box::new(move || {
-            // Stamp the queue wait the instant a worker picks the job
-            // up, so callers can attribute latency to queueing vs
-            // compute (the serve layer's span ledger reads this).
-            let waited = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            out.queue_wait_ns.store(waited, Ordering::Relaxed);
-            match catch_unwind(AssertUnwindSafe(job)) {
-                Ok(value) => {
-                    *lock(&out.cell) = Some(Ok(value));
-                    out.done.notify_all();
-                }
+        st.queue.push_back(Box::new(move |shared: &PoolShared| {
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            // Settled before the callback runs: by the time a caller
+            // hears of a result, the pool no longer counts it in flight.
+            lock(&shared.state).active -= 1;
+            match outcome {
+                Ok(value) => done(Ok(value)),
                 Err(payload) => {
-                    // Resolve the handle first so the affected caller
-                    // gets its typed error no matter what happens to
-                    // the worker thread next.
-                    *lock(&out.cell) = Some(Err(JobPanic {
+                    // Call back first so the affected caller gets its
+                    // typed error no matter what happens to the worker
+                    // thread next.
+                    done(Err(JobPanic {
                         index,
                         message: crate::panic_message(payload.as_ref()),
                     }));
-                    out.done.notify_all();
                     if payload.is::<crate::KillWorker>() {
                         // The sentinel asks for the worker itself to
                         // die; the supervisor guard in `worker_loop`
-                        // repairs the accounting and respawns.
+                        // respawns it.
                         std::panic::resume_unwind(payload);
                     }
                 }
@@ -238,7 +230,7 @@ impl WorkerPool {
         }));
         drop(st);
         self.shared.work_ready.notify_one();
-        Ok(JobHandle { slot })
+        Ok(())
     }
 
     /// Jobs waiting in the queue (not yet running).
@@ -285,16 +277,6 @@ impl WorkerPool {
         self.queue_depth
     }
 
-    /// Blocks until the pool is idle: no queued and no executing jobs.
-    /// New submissions remain possible; callers that want a terminal
-    /// drain should stop submitting first (or use [`WorkerPool::close`]).
-    pub fn drain(&self) {
-        let mut st = lock(&self.shared.state);
-        while !st.queue.is_empty() || st.active > 0 {
-            st = wait_on(&self.shared.job_done, st);
-        }
-    }
-
     /// Stops admission, runs every queued job to completion and joins
     /// the workers. Dropping the pool does the same.
     pub fn close(self) {
@@ -307,18 +289,25 @@ impl WorkerPool {
             st.open = false;
         }
         self.shared.work_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        // A callback may hold the last owner of the pool, so the pool
+        // can be dropped on one of its own workers. That worker leaves
+        // its loop once the callback returns; joining it here would
+        // deadlock.
+        let me = std::thread::current().id();
+        let join = |handle: std::thread::JoinHandle<()>| {
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
+        };
+        self.workers.drain(..).for_each(join);
         // Respawned workers register their handles in shared state; a
         // replacement can itself die and spawn another while we join,
-        // so pop until the list is observed empty.
+        // so pop until the list is observed empty. (The lock must be
+        // released before joining: the replacement needs it to exit.)
         loop {
             let handle = lock(&self.shared.state).replacements.pop();
             match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
+                Some(h) => join(h),
                 None => break,
             }
         }
@@ -352,19 +341,16 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 st = wait_on(&shared.work_ready, st);
             }
         };
-        job();
-        lock(&shared.state).active -= 1;
-        shared.job_done.notify_all();
+        job(shared);
     }
 }
 
 /// A supervisor guard living on each worker thread. On a clean exit the
-/// loop disarms it; if the worker dies any other way (the only panic
-/// path is `resume_unwind` of a [`crate::KillWorker`] payload, but the
-/// guard also covers a hypothetical panic in pool bookkeeping) its
-/// `Drop` runs *on the dying thread* during unwind: it repairs the
-/// `active` count the aborted job left behind, records the restart, and
-/// spawns a replacement so pool capacity recovers.
+/// loop disarms it; if the worker dies any other way (`resume_unwind`
+/// of a [`crate::KillWorker`] payload, or a panicking callback) its
+/// `Drop` runs *on the dying thread* during unwind: it records the
+/// restart and spawns a replacement so pool capacity recovers. Both
+/// deaths happen after the job's `active` count was already released.
 struct Sentinel {
     shared: Arc<PoolShared>,
     armed: bool,
@@ -377,16 +363,13 @@ impl Drop for Sentinel {
         }
         let now_ms = u64::try_from(self.shared.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
         // Past the storm threshold the pool sheds *new* work, but keeps
-        // respawning: handles for jobs already queued must still
-        // resolve, and a worker has to exist to run them.
+        // respawning: jobs already queued must still run and call back,
+        // and a worker has to exist to run them.
         let stormy = {
             let mut tracker = lock(&self.shared.restarts);
             tracker.record(now_ms) == powerchop_resilience::RestartVerdict::Storm
         };
         let mut st = lock(&self.shared.state);
-        // The worker only unwinds from inside `job()`, after `active`
-        // was incremented and before it was decremented.
-        st.active = st.active.saturating_sub(1);
         st.live_workers = st.live_workers.saturating_sub(1);
         st.gave_up = st.gave_up || stormy;
         if st.open || !st.queue.is_empty() {
@@ -410,86 +393,52 @@ impl Drop for Sentinel {
             }
         }
         drop(st);
-        self.shared.job_done.notify_all();
         self.shared.work_ready.notify_all();
-    }
-}
-
-struct Slot<T> {
-    cell: Mutex<Option<Result<T, JobPanic>>>,
-    done: Condvar,
-    /// Nanoseconds the job spent queued before a worker picked it up;
-    /// zero until pickup.
-    queue_wait_ns: AtomicU64,
-}
-
-/// An awaitable handle to one submitted job. The handle outlives the
-/// pool: a job that was queued when the pool started draining still
-/// runs, and its handle still resolves.
-pub struct JobHandle<T> {
-    slot: Arc<Slot<T>>,
-}
-
-impl<T> std::fmt::Debug for JobHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("done", &self.is_done())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> JobHandle<T> {
-    /// Blocks until the job finishes; returns its result, or the panic
-    /// it raised (with the submission sequence number as the index).
-    pub fn wait(self) -> Result<T, JobPanic> {
-        let mut cell = lock(&self.slot.cell);
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = wait_on(&self.slot.done, cell);
-        }
-    }
-
-    /// Whether the job has finished (non-blocking).
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        lock(&self.slot.cell).is_some()
-    }
-
-    /// Nanoseconds this job spent waiting in the queue before a worker
-    /// picked it up. Zero until pickup; stable once the job is running,
-    /// so reading it after [`JobHandle::is_done`] (or before
-    /// [`JobHandle::wait`] on a done handle) gives the final value.
-    #[must_use]
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.slot.queue_wait_ns.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
-    #[test]
-    fn submit_and_wait_returns_the_result() {
-        let pool = WorkerPool::new(2, 8);
-        let h = pool.submit(|| 6 * 7).unwrap();
-        assert_eq!(h.wait().unwrap(), 42);
+    /// Submits `job` with a callback that forwards its result to the
+    /// returned receiver.
+    fn submit_recv<T: Send + 'static>(
+        pool: &WorkerPool,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<mpsc::Receiver<Result<T, JobPanic>>, SubmitError> {
+        let (tx, rx) = mpsc::channel();
+        pool.submit(job, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(rx)
     }
 
     #[test]
-    fn handles_resolve_independently_and_out_of_order() {
+    fn submit_delivers_the_result_to_the_callback() {
+        let pool = WorkerPool::new(2, 8);
+        let rx = submit_recv(&pool, || 6 * 7).unwrap();
+        assert_eq!(rx.recv().unwrap().unwrap(), 42);
+    }
+
+    #[test]
+    fn callbacks_deliver_each_result_independently() {
         let pool = WorkerPool::new(4, 16);
-        let handles: Vec<_> = (0..12)
-            .map(|i| pool.submit(move || i * i).unwrap())
-            .collect();
-        // Await in reverse submission order: each handle blocks only on
-        // its own job.
-        for (i, h) in handles.into_iter().enumerate().rev() {
-            assert_eq!(h.wait().unwrap(), i * i);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..12usize {
+            let tx = tx.clone();
+            pool.submit(move || i * i, move |r| tx.send((i, r)).unwrap())
+                .unwrap();
         }
+        drop(tx);
+        // Completion order is up to the workers; each callback carries
+        // its own job's result.
+        let mut got: Vec<(usize, usize)> = rx.iter().map(|(i, r)| (i, r.unwrap())).collect();
+        got.sort_unstable();
+        let want: Vec<(usize, usize)> = (0..12).map(|i| (i, i * i)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -497,12 +446,12 @@ mod tests {
         let pool = WorkerPool::new(1, 1);
         let (release, gate) = mpsc::channel::<()>();
         // Occupy the single worker...
-        let running = pool.submit(move || gate.recv().is_ok()).unwrap();
+        let running = submit_recv(&pool, move || gate.recv().is_ok()).unwrap();
         // ...then fill the single queue slot. The worker may not have
         // dequeued the first job yet, so allow one retry.
         let queued = loop {
-            match pool.submit(|| true) {
-                Ok(h) => break h,
+            match submit_recv(&pool, || true) {
+                Ok(rx) => break rx,
                 Err(SubmitError::Busy { .. }) => std::thread::yield_now(),
                 Err(e) => panic!("unexpected {e}"),
             }
@@ -513,25 +462,97 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(
-            pool.submit(|| true).unwrap_err(),
+            pool.submit(|| true, |_| ()).unwrap_err(),
             SubmitError::Busy { queue_depth: 1 }
         );
         release.send(()).unwrap();
-        assert!(running.wait().unwrap());
-        assert!(queued.wait().unwrap());
+        assert!(running.recv().unwrap().unwrap());
+        assert!(queued.recv().unwrap().unwrap());
     }
 
     #[test]
-    fn panics_resolve_the_handle_and_spare_the_worker() {
+    fn panics_reach_the_callback_and_spare_the_worker() {
         let pool = WorkerPool::new(1, 4);
-        let boom = pool
-            .submit(|| -> u32 { panic!("pool job blows up") })
-            .unwrap();
-        let err = boom.wait().unwrap_err();
+        let boom = submit_recv(&pool, || -> u32 { panic!("pool job blows up") }).unwrap();
+        let err = boom.recv().unwrap().unwrap_err();
         assert_eq!(err.index, 0);
         assert!(err.message.contains("pool job blows up"), "{}", err.message);
         // The same (only) worker still serves later jobs.
-        assert_eq!(pool.submit(|| 5).unwrap().wait().unwrap(), 5);
+        assert_eq!(
+            submit_recv(&pool, || 5).unwrap().recv().unwrap().unwrap(),
+            5
+        );
+        assert_eq!(pool.respawns(), 0);
+    }
+
+    #[test]
+    fn the_callback_fires_exactly_once_per_job_whatever_its_outcome() {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel::<(&str, Result<u32, JobPanic>)>();
+        {
+            type Job = fn() -> u32;
+            let pool = WorkerPool::new(1, 8);
+            let jobs: [(&str, Job); 3] = [
+                ("ok", || 7),
+                ("panic", || panic!("ordinary panic")),
+                ("kill", || std::panic::panic_any(crate::KillWorker)),
+            ];
+            for (name, job) in jobs {
+                let (fired, tx) = (Arc::clone(&fired), tx.clone());
+                pool.submit(job, move |r| {
+                    fired.fetch_add(1, Ordering::SeqCst);
+                    tx.send((name, r)).unwrap();
+                })
+                .unwrap();
+            }
+            // Dropping the pool runs everything queued and joins every
+            // worker, the respawned one included.
+        }
+        drop(tx);
+        let got: Vec<(&str, Result<u32, JobPanic>)> = rx.iter().collect();
+        assert_eq!(fired.load(Ordering::SeqCst), 3);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0], ("ok", Ok(7)));
+        assert_eq!(got[1].0, "panic");
+        assert!(got[1]
+            .1
+            .as_ref()
+            .unwrap_err()
+            .message
+            .contains("ordinary panic"));
+        assert_eq!(got[2].0, "kill");
+        assert!(got[2].1.as_ref().unwrap_err().message.contains("killed"));
+    }
+
+    #[test]
+    fn a_kill_worker_callback_fires_before_the_respawn() {
+        let pool = WorkerPool::new(1, 4);
+        let (called, heard) = mpsc::channel::<String>();
+        let (release, gate) = mpsc::channel::<()>();
+        pool.submit(
+            || -> u32 { std::panic::panic_any(crate::KillWorker) },
+            move |r| {
+                called.send(r.unwrap_err().message).unwrap();
+                // Hold the dying worker inside its callback.
+                gate.recv().unwrap();
+            },
+        )
+        .unwrap();
+        assert!(heard.recv().unwrap().contains("killed"));
+        // The callback is running on the doomed worker: nothing has
+        // been respawned yet.
+        assert_eq!(pool.respawns(), 0);
+        assert_eq!(pool.alive(), 1);
+        release.send(()).unwrap();
+        // The pool's only worker died after its callback, so this job
+        // can only complete on the replacement.
+        assert_eq!(
+            submit_recv(&pool, || 7).unwrap().recv().unwrap().unwrap(),
+            7
+        );
+        assert_eq!(pool.respawns(), 1);
+        assert_eq!(pool.alive(), 1);
+        assert!(!pool.gave_up());
     }
 
     #[test]
@@ -541,7 +562,7 @@ mod tests {
             let pool = WorkerPool::new(1, 16);
             for i in 0..10 {
                 let tx = tx.clone();
-                pool.submit(move || tx.send(i).unwrap()).unwrap();
+                pool.submit(move || tx.send(i).unwrap(), |_| ()).unwrap();
             }
             // Dropping here must run all ten queued jobs first.
         }
@@ -551,30 +572,58 @@ mod tests {
     }
 
     #[test]
-    fn drain_waits_for_idleness_and_close_rejects_new_work() {
+    fn a_job_leaves_the_inflight_count_before_its_callback_runs() {
         let pool = WorkerPool::new(2, 8);
-        let handles: Vec<_> = (0..6).map(|i| pool.submit(move || i).unwrap()).collect();
-        pool.drain();
+        let results: Vec<_> = (0..6)
+            .map(|i| submit_recv(&pool, move || i).unwrap())
+            .collect();
+        for (i, rx) in results.into_iter().enumerate() {
+            assert_eq!(rx.recv().unwrap().unwrap(), i);
+        }
+        // Every callback has fired, so nothing can still count as
+        // queued or running.
         assert_eq!(pool.queued(), 0);
         assert_eq!(pool.inflight(), 0);
-        for (i, h) in handles.into_iter().enumerate() {
-            assert!(h.is_done());
-            assert_eq!(h.wait().unwrap(), i);
-        }
+        pool.close();
+    }
+
+    #[test]
+    fn a_pool_dropped_inside_its_own_callback_does_not_join_itself() {
+        let pool = Arc::new(WorkerPool::new(2, 4));
+        let owner = Arc::clone(&pool);
+        let (release, gate) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        pool.submit(
+            || 7,
+            move |r| {
+                gate.recv().unwrap();
+                // The last owner lets go on a worker thread.
+                drop(owner);
+                tx.send(r.unwrap()).unwrap();
+            },
+        )
+        .unwrap();
+        drop(pool);
+        release.send(()).unwrap();
+        assert_eq!(rx.recv().unwrap(), 7);
     }
 
     #[test]
     fn kill_worker_respawns_and_service_continues() {
         let pool = WorkerPool::new(1, 4);
-        let dead = pool
-            .submit(|| -> u32 { std::panic::panic_any(crate::KillWorker) })
-            .unwrap();
+        let dead = submit_recv(&pool, || -> u32 {
+            std::panic::panic_any(crate::KillWorker)
+        })
+        .unwrap();
         // The affected request still gets its typed error...
-        let err = dead.wait().unwrap_err();
+        let err = dead.recv().unwrap().unwrap_err();
         assert!(err.message.contains("killed"), "{}", err.message);
         // ...and the pool's only worker died with it, so this next job
         // can only complete if the supervisor respawned one.
-        assert_eq!(pool.submit(|| 7).unwrap().wait().unwrap(), 7);
+        assert_eq!(
+            submit_recv(&pool, || 7).unwrap().recv().unwrap().unwrap(),
+            7
+        );
         assert_eq!(pool.respawns(), 1);
         assert_eq!(pool.alive(), 1);
         assert!(!pool.gave_up());
@@ -585,16 +634,17 @@ mod tests {
         let pool = WorkerPool::with_restart_policy(1, 8, RestartPolicy::new(60_000, 2));
         // Two restarts fit the policy; the third latches the storm.
         for _ in 0..3 {
-            let h = pool
-                .submit(|| std::panic::panic_any(crate::KillWorker))
-                .unwrap();
-            let _ = h.wait();
+            let rx = submit_recv(&pool, || std::panic::panic_any(crate::KillWorker)).unwrap();
+            let _: Result<(), JobPanic> = rx.recv().unwrap();
         }
         while !pool.gave_up() {
             std::thread::yield_now();
         }
-        assert_eq!(pool.submit(|| 1).unwrap_err(), SubmitError::Unavailable);
-        // Storm mode keeps respawning (queued handles must resolve), it
+        assert_eq!(
+            pool.submit(|| 1, |_| ()).unwrap_err(),
+            SubmitError::Unavailable
+        );
+        // Storm mode keeps respawning (queued jobs must still run), it
         // only sheds admissions.
         assert_eq!(pool.respawns(), 3);
         assert_eq!(pool.alive(), 1);
@@ -603,36 +653,31 @@ mod tests {
     #[test]
     fn a_killed_worker_does_not_leak_inflight_accounting() {
         let pool = WorkerPool::new(2, 8);
-        let h = pool
-            .submit(|| std::panic::panic_any(crate::KillWorker))
-            .unwrap();
-        let _ = h.wait();
-        // Without the sentinel repairing `active`, this drain would
-        // hang on the phantom in-flight job.
-        pool.drain();
+        let rx = submit_recv(&pool, || std::panic::panic_any(crate::KillWorker)).unwrap();
+        let _: Result<(), JobPanic> = rx.recv().unwrap();
+        // The dead worker must not leave a phantom in-flight job behind.
         assert_eq!(pool.inflight(), 0);
     }
 
     #[test]
-    fn queue_wait_is_attributed_to_queued_jobs() {
+    fn queue_wait_runs_from_submission_to_pickup() {
         let pool = WorkerPool::new(1, 4);
         let (release, gate) = mpsc::channel::<()>();
-        let running = pool.submit(move || gate.recv().is_ok()).unwrap();
-        let queued = pool.submit(|| 7u32).unwrap();
+        let running = submit_recv(&pool, move || gate.recv().is_ok()).unwrap();
+        // The queued job measures its own wait, the way the serve layer
+        // attributes its queue span.
+        let submitted = Instant::now();
+        let queued = submit_recv(&pool, move || submitted.elapsed()).unwrap();
         // The queued job cannot start until the gate opens, so its
         // queue wait is at least this sleep.
         std::thread::sleep(std::time::Duration::from_millis(2));
         release.send(()).unwrap();
-        while !queued.is_done() {
-            std::thread::yield_now();
-        }
+        assert!(running.recv().unwrap().unwrap());
+        let waited = queued.recv().unwrap().unwrap();
         assert!(
-            queued.queue_wait_ns() >= 2_000_000,
-            "queued job waited {}ns",
-            queued.queue_wait_ns()
+            waited >= std::time::Duration::from_millis(2),
+            "queued job waited {waited:?}"
         );
-        assert!(running.wait().unwrap());
-        assert_eq!(queued.wait().unwrap(), 7);
     }
 
     #[test]
@@ -640,6 +685,9 @@ mod tests {
         let pool = WorkerPool::new(0, 0);
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.queue_depth(), 1);
-        assert_eq!(pool.submit(|| 1).unwrap().wait().unwrap(), 1);
+        assert_eq!(
+            submit_recv(&pool, || 1).unwrap().recv().unwrap().unwrap(),
+            1
+        );
     }
 }

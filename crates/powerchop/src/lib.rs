@@ -82,7 +82,7 @@ pub use policy::GatingPolicy;
 pub use pvt::PolicyVectorTable;
 pub use system::{
     config_fingerprint, manager_kind_by_name, read_meta, run_program, run_program_traced,
-    ManagerKind, RunConfig, RunReport, Simulation, SnapshotMeta,
+    ManagerKind, RunConfig, RunReport, Simulation, SnapshotMeta, STEP_CHUNK,
 };
 // Execution-strategy knobs surfaced through [`RunConfig`], re-exported so
 // front ends need not depend on the BT crate directly.

@@ -414,6 +414,12 @@ pub fn config_fingerprint(kind: ManagerKind, cfg: &RunConfig) -> u64 {
     fnv1a64(canon.as_bytes())
 }
 
+/// Dispatch-loop iterations per [`Simulation::step_chunk`] call for every
+/// driver that steps a run incrementally — the CLI's checkpoint and
+/// supervise paths and the serve daemon — so deadline checks and
+/// checkpoint spills land at the same boundaries everywhere.
+pub const STEP_CHUNK: u64 = 65_536;
+
 /// A live simulation: the complete deterministic state of one run.
 ///
 /// Stepping is chunked at guest-dispatch boundaries

@@ -14,9 +14,6 @@
 //!   half-open) typed state machine with trip and probe counters,
 //!   driven by an explicit millisecond clock so every transition is
 //!   unit-testable without sleeping.
-//! - [`deadline::DeadlineBudget`] — one wall-clock budget decremented
-//!   across queue wait, execution and retries, so retried work can
-//!   never exceed the client's original deadline.
 //! - [`restart::RestartTracker`] — bounded restart-rate accounting for
 //!   worker supervision: respawn freely under the rate cap, latch a
 //!   "storm" verdict past it so callers shed load instead of thrashing.
@@ -38,12 +35,10 @@
 
 pub mod breaker;
 pub mod chaos;
-pub mod deadline;
 pub mod restart;
 pub mod retry;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use chaos::{ChaosConfig, ChaosPlan, ChaosSchedule, ChaosStats, ChaosStream, Hostility};
-pub use deadline::DeadlineBudget;
 pub use restart::{RestartPolicy, RestartTracker, RestartVerdict};
 pub use retry::RetryPolicy;

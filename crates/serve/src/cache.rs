@@ -14,8 +14,8 @@
 //!
 //! The daemon wraps it in a [`ShardedCache`]: one independently-locked
 //! [`ResultCache`] per worker, selected by a hash of the run key, so
-//! concurrent settler threads never contend on a single global cache
-//! lock. Hit/miss accounting stays aggregated in the server's metrics
+//! completion callbacks on different workers never contend on a single
+//! global cache lock. Hit/miss accounting stays aggregated in the server's metrics
 //! registry, so sharding is invisible in `/metrics`.
 
 use std::collections::VecDeque;

@@ -19,8 +19,8 @@
 //! compacting both), the typed [`RecoveryState`] that the `health` op
 //! and the Prometheus counters report, and the spec <-> journal-record
 //! conversions. The recovery *driver* — re-dispatching pending intents
-//! onto the worker pool — lives in [`crate::server`], which owns the
-//! pool.
+//! onto the worker pool as loop-owned batches — lives in
+//! [`crate::server`], which owns the pool.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,22 +122,19 @@ impl Durability {
         });
     }
 
-    /// Retires an intent once the client has its reply.
-    pub fn journal_done(&self, id: u64) {
+    /// Retires an intent once the client has its reply: journals its
+    /// `Done`, then removes its spill checkpoints (best effort — an
+    /// orphaned spill is garbage, not corruption).
+    pub fn retire<'a>(&self, id: u64, benches: impl IntoIterator<Item = &'a str>) {
         self.append(&Record::Done { id });
+        for bench in benches {
+            let _ = std::fs::remove_file(self.spill_file(id, bench));
+        }
     }
 
     /// The spill checkpoint path for one of intent `id`'s runs.
     pub fn spill_file(&self, id: u64, bench: &str) -> PathBuf {
         spill_path(&self.dir, id, bench)
-    }
-
-    /// Removes the spill checkpoints of a retired intent (best effort —
-    /// an orphaned spill is garbage, not corruption).
-    pub fn remove_spills<'a>(&self, id: u64, benches: impl IntoIterator<Item = &'a str>) {
-        for bench in benches {
-            let _ = std::fs::remove_file(self.spill_file(id, bench));
-        }
     }
 
     /// Writes a cached reply through to the persistent cache log.
@@ -423,7 +420,7 @@ mod tests {
             let done = b.durability.next_intent_id();
             b.durability
                 .journal_intent(done, 0, &[spec("namd", ManagerKind::FullPower)]);
-            b.durability.journal_done(done);
+            b.durability.retire(done, []);
             b.durability.record_cache_put(42, r#"{"ok":true}"#);
         }
         // Simulated crash: nothing retired the first intent.

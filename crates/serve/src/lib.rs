@@ -11,10 +11,12 @@
 //! failures (see `powerchop-resilience`).
 //! Completed reports land in an LRU cache keyed by the checkpoint
 //! crate's program + configuration fingerprints, so repeated requests
-//! are answered from memory, bit-identically. Every run is watched by a
-//! wall-clock deadline mirroring the CLI `supervise` machinery, and a
-//! plain HTTP `GET /metrics` on the same port serves the Prometheus
-//! text exposition for `curl` and scrapers.
+//! are answered from memory, bit-identically. Every run has a wall-clock
+//! deadline, fixed when it is queued and checked at the same step-chunk
+//! boundaries the CLI `supervise` machinery uses, and a plain HTTP
+//! `GET /metrics` on the same port serves the Prometheus text
+//! exposition for `curl` and scrapers. The daemon runs on its event
+//! loop thread and its pool workers only.
 //!
 //! With `--journal-dir` set the daemon is crash-consistent: accepted
 //! requests are journaled to an fsync'd write-ahead log before

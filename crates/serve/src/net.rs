@@ -236,8 +236,8 @@ impl Drop for Epoll {
     }
 }
 
-/// The worker→event-loop wakeup channel: an eventfd the settler threads
-/// [`ring`](WakeFd::ring) after pushing a completion, so a blocked
+/// The worker→event-loop wakeup channel: an eventfd the workers'
+/// completion callbacks [`ring`](WakeFd::ring) after pushing a completion, so a blocked
 /// `epoll_wait` returns immediately. Cheap enough to ring on every
 /// completion; the loop drains the counter in one read.
 pub struct WakeFd {

@@ -6,22 +6,24 @@
 //! writes. A connection is never owned by a thread; slow clients cost
 //! one `Conn` struct, not a stack.
 //!
-//! Simulations still dispatch onto the bounded [`WorkerPool`]; when the
-//! queue is full the request is shed immediately with a 429 reply
-//! instead of queueing unboundedly — explicit backpressure the client
-//! can see and retry against. A dispatched run parks its connection in
-//! an in-flight state (its socket stops being polled for input, so a
-//! pipelined flood backs up into the kernel buffer) and a small settler
-//! thread waits the run out, then hands the reply back to the loop over
-//! an eventfd wakeup.
+//! Simulations dispatch onto the bounded [`WorkerPool`]; when the queue
+//! is full a `run` is shed immediately with a 429 reply instead of
+//! queueing unboundedly — explicit backpressure the client can see and
+//! retry against. A dispatched run parks its connection in an in-flight
+//! state (its socket stops being polled for input, so a pipelined flood
+//! backs up into the kernel buffer). The job's completion callback
+//! settles the outcome on the worker that ran it — breaker, counters,
+//! cache and journal — then hands the row back to the loop over an
+//! eventfd wakeup. Sweeps and boot recovery are loop-owned batches: the
+//! loop submits their rows until the pool answers `Busy` and resubmits
+//! when a completion arrives. The daemon runs on the loop thread and the
+//! pool workers, and on no other thread.
 //!
-//! Every run gets a wall-clock deadline watchdog mirroring the
-//! `supervise` machinery: a watchdog thread trips a cancel flag once the
-//! deadline passes and the run checks it between step chunks, so a
-//! runaway request yields a 408 reply instead of pinning a worker
-//! forever. The deadline is a single [`DeadlineBudget`] charged across
-//! queue wait *and* compute, so time spent waiting for a worker can
-//! never buy extra execution time past the client's deadline.
+//! Every run gets a wall-clock deadline, fixed as an absolute instant
+//! when its job is submitted, so time spent waiting for a worker can
+//! never buy extra execution time past the client's deadline. The run
+//! checks it at every step-chunk boundary, so a runaway request yields a
+//! 408 reply instead of pinning a worker forever.
 //!
 //! Connections are hardened end to end: a timing wheel (see
 //! [`crate::wheel`]) replaces per-socket kernel timeouts — a client
@@ -53,19 +55,21 @@
 //! connected clients to finish, and drains the pool before exiting.
 //! See `DESIGN.md` §14 for the event-loop state machine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{config_fingerprint, ManagerKind, RunConfig, RunReport, Simulation};
+use powerchop::{config_fingerprint, ManagerKind, RunConfig, RunReport, Simulation, STEP_CHUNK};
 use powerchop_checkpoint::run_key;
-use powerchop_exec::{JobHandle, KillWorker, SubmitError, WorkerPool};
+use powerchop_durable::PendingIntent;
+use powerchop_exec::{JobPanic, KillWorker, SubmitError, WorkerPool};
 use powerchop_gisa::Program;
-use powerchop_resilience::{Admission, CircuitBreaker, DeadlineBudget, RetryPolicy};
+use powerchop_resilience::{Admission, CircuitBreaker};
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{
     format_trace_id, trace_id, MetricsRegistry, Phase, SpanLedger, TelemetryConfig, Tracer,
@@ -81,11 +85,6 @@ use crate::protocol::{
 };
 use crate::report::report_to_json;
 use crate::wheel::TimerWheel;
-
-/// Dispatch-loop iterations per [`Simulation::step_chunk`] call — the
-/// same chunking the CLI's checkpoint/supervise paths use, so deadline
-/// checks land at identical boundaries.
-const STEP_CHUNK: u64 = 65_536;
 
 /// Everything that shapes a daemon instance.
 #[derive(Debug, Clone)]
@@ -256,9 +255,6 @@ struct RequestCtx {
     status: u16,
     cached: bool,
     bench: Option<String>,
-    /// Simulated cycles attributed to the compute phase (from the
-    /// run report; sweeps accumulate across rows).
-    compute_cycles: u64,
     /// Flight-recorder events captured by the per-run tracer (only
     /// when the access log is enabled; surfaced on slow records).
     trace_events: u64,
@@ -273,7 +269,6 @@ impl RequestCtx {
             status: 200,
             cached: false,
             bench: None,
-            compute_cycles: 0,
             trace_events: 0,
         }
     }
@@ -285,7 +280,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared by the event loop, the settler threads and the resumer.
+/// State shared by the event loop and the workers' completion callbacks.
 struct State {
     pool: WorkerPool,
     cache: ShardedCache,
@@ -328,6 +323,10 @@ struct State {
     access: Option<Mutex<BufWriter<std::fs::File>>>,
     /// Slow-request promotion threshold (see [`ServerConfig::slow_ms`]).
     slow_ms: Option<u64>,
+    /// Completion callbacks send settled rows here, then ring `wake`;
+    /// the event loop owns the receiving end.
+    done_tx: mpsc::Sender<Completion>,
+    wake: WakeFd,
 }
 
 impl State {
@@ -405,7 +404,9 @@ impl State {
         w.field_raw("spans", &spans.finish());
         w.field_bool("slow", slow);
         if slow {
-            w.field_u64("compute_cycles", ctx.compute_cycles);
+            // Simulated cycles behind the compute phase (sweeps add up
+            // their rows).
+            w.field_u64("compute_cycles", ctx.ledger.cycles(Phase::Compute));
             w.field_u64("trace_events", ctx.trace_events);
         }
         w.finish()
@@ -477,8 +478,9 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<State>,
     /// Journaled intents with no completion record, found at boot.
-    /// [`Server::run`] resumes them on a background thread.
-    pending: Vec<powerchop_durable::PendingIntent>,
+    /// [`Server::run`] resumes them as loop-owned batches.
+    pending: Vec<PendingIntent>,
+    done_rx: mpsc::Receiver<Completion>,
 }
 
 impl Server {
@@ -604,6 +606,7 @@ impl Server {
         }
         let cache = ShardedCache::new(cfg.cache_entries, jobs);
         cache.absorb(reloaded);
+        let (done_tx, done_rx) = mpsc::channel();
         let state = Arc::new(State {
             pool: WorkerPool::new(jobs, cfg.queue_depth),
             cache,
@@ -630,11 +633,14 @@ impl Server {
             inflight_requests: AtomicUsize::new(0),
             access,
             slow_ms: cfg.slow_ms,
+            done_tx,
+            wake: WakeFd::new()?,
         });
         Ok(Self {
             listener,
             state,
             pending,
+            done_rx,
         })
     }
 
@@ -649,32 +655,20 @@ impl Server {
     /// Blocks the calling thread. After a `{"op":"shutdown"}` request:
     /// no new connections are accepted, open connections are served
     /// until they close (clients still holding theirs get 503 for new
-    /// work), and the worker pool is drained before returning.
+    /// work), and every run already on the pool lands before returning.
     ///
     /// # Errors
     ///
     /// Propagates event-loop I/O failures (epoll itself breaking);
     /// per-connection errors only terminate that connection.
-    pub fn run(mut self) -> std::io::Result<()> {
-        // Resume journaled work on a background thread so the listener
-        // serves new clients immediately; `health` reports
-        // `recovery_active` until the backlog drains.
-        let resumer = if self.pending.is_empty() {
-            None
-        } else {
-            let state = Arc::clone(&self.state);
-            let pending = std::mem::take(&mut self.pending);
-            Some(std::thread::spawn(move || resume_pending(&state, pending)))
-        };
-        let outcome = run_event_loop(&self.listener, &self.state);
-        // The resumer abandons un-dispatched intents once draining is
-        // observed (they stay journaled for the next boot) and finishes
-        // any run already on the pool, which drain() then waits out.
-        if let Some(resumer) = resumer {
-            let _ = resumer.join();
-        }
-        self.state.pool.drain();
-        outcome
+    pub fn run(self) -> std::io::Result<()> {
+        // Journaled work resumes as a loop-owned batch while the listener
+        // serves new clients; `health` reports `recovery_active` until
+        // the backlog drains. Draining stops recovery from submitting
+        // (the rest stays journaled for the next boot), and the loop
+        // only exits once every row it put on the pool has landed, so
+        // the pool is idle by then.
+        run_event_loop(&self.listener, &self.state, self.pending, &self.done_rx)
     }
 }
 
@@ -820,67 +814,142 @@ impl Conn {
     }
 }
 
-/// A run or sweep reply coming back from a settler thread.
+/// One settled row, sent by the completion callback of the worker that
+/// ran it.
 struct Completion {
-    token: u64,
-    ctx: RequestCtx,
-    reply: String,
+    /// The batch the row belongs to, and its index in the roster.
+    slot: (u64, usize),
+    /// The report, or the typed error the row ended with.
+    outcome: SweepOutcome,
+    /// Worker-side spans: queue, compute (with its simulated cycles),
+    /// and the callback's cache and journal work.
+    spans: SpanLedger,
+    /// Flight-recorder events the run's tracer captured.
+    trace_events: u64,
 }
 
-/// A run accepted onto the pool, awaiting settlement off-loop.
-struct DispatchedRun {
-    key: u128,
-    deadline_ms: u64,
-    handle: JobHandle<Result<RunDone, RunFail>>,
+/// Who a batch answers to.
+enum Owner {
+    /// A `run` (`lone`: one row, its own intent) or a `sweep` on
+    /// connection `token`.
+    Client {
+        token: u64,
+        ctx: RequestCtx,
+        lone: bool,
+    },
+    /// Boot recovery of one journaled intent: the trace id of the
+    /// request that created it, and each row's last journaled spill.
+    Recovery {
+        trace: u64,
+        spilled: BTreeMap<String, u64>,
+    },
+}
+
+/// A request whose rows are on, or waiting for, the pool: a lone `run`,
+/// a `sweep`, or a journaled intent that boot recovery resumes.
+struct Batch {
+    owner: Owner,
+    /// The journaled intent the rows belong to.
     intent: Option<u64>,
-    bench: String,
+    /// The roster, in order.
+    rows: Vec<Row>,
+    /// Rows before `next` are dispatched or settled.
+    next: usize,
+    /// Dispatched rows whose completions have not landed.
+    outstanding: usize,
 }
 
-/// Where one request line goes after parsing.
-enum Dispatch {
-    /// Answered inline on the loop thread (quick ops, errors, hits).
-    Reply(String),
-    /// A run is on the pool; a settler thread will complete it.
-    Run(Box<DispatchedRun>),
-    /// A sweep drives the pool from its own thread.
-    Sweep(Vec<RunSpec>),
+impl Batch {
+    fn new(owner: Owner, intent: Option<u64>, specs: Vec<RunSpec>) -> Self {
+        let rows = specs
+            .into_iter()
+            .map(|spec| Row {
+                spec,
+                ready: None,
+                outcome: SweepOutcome::Failed(ReqError::internal("row never settled")),
+            })
+            .collect();
+        Self {
+            owner,
+            intent,
+            rows,
+            next: 0,
+            outstanding: 0,
+        }
+    }
 }
 
-/// The epoll event loop: all connection state lives here, on one
-/// thread. Compute never runs on it.
+/// One roster entry: its spec, the prepared run once the cache lookup
+/// missed (kept so a resubmission after `Busy` neither rebuilds nor
+/// re-counts it), and its outcome.
+struct Row {
+    spec: RunSpec,
+    ready: Option<Arc<Prepared>>,
+    outcome: SweepOutcome,
+}
+
+/// The epoll event loop: all connection and batch state lives here, on
+/// one thread. Compute never runs on it.
 struct EventLoop<'a> {
     state: &'a Arc<State>,
     epoll: Epoll,
-    wake: Arc<WakeFd>,
-    tx: mpsc::Sender<Completion>,
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel<Timer>,
     next_token: u64,
-    /// Runs and sweeps handed to settler threads whose completions
-    /// have not come back yet; the drain waits for zero.
-    inflight_dispatches: usize,
+    /// Runs, sweeps and recovered intents with rows still owed; the
+    /// drain waits for none.
+    batches: HashMap<u64, Batch>,
+    next_batch: u64,
+    /// Ids of the recovery batches not yet finished, one per journaled
+    /// intent in journal order; only the first is in progress.
+    recovery: Range<u64>,
+    /// Batches holding a row the pool answered `Busy` to, oldest first.
+    /// A full queue always holds a job whose completion is coming, so
+    /// every completion, and every new batch (which must not jump the
+    /// line), re-attempts them: nothing sleeps and no timer is armed.
+    parked: BTreeSet<u64>,
     /// Scratch buffer for wheel expiry.
     fired: Vec<Timer>,
 }
 
-fn run_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Result<()> {
+fn run_event_loop(
+    listener: &TcpListener,
+    state: &Arc<State>,
+    pending: Vec<PendingIntent>,
+    done_rx: &mpsc::Receiver<Completion>,
+) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
-    let wake = Arc::new(WakeFd::new()?);
     epoll.add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
-    epoll.add(wake.raw(), EPOLLIN, TOK_WAKE)?;
-    let (tx, rx) = mpsc::channel::<Completion>();
+    epoll.add(state.wake.raw(), EPOLLIN, TOK_WAKE)?;
     let mut el = EventLoop {
         state,
         epoll,
-        wake,
-        tx,
         conns: HashMap::new(),
         wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS),
         next_token: TOK_FIRST_CONN,
-        inflight_dispatches: 0,
+        batches: HashMap::new(),
+        next_batch: 0,
+        recovery: 0..0,
+        parked: BTreeSet::new(),
         fired: Vec::new(),
     };
+    for intent in pending {
+        let specs = intent
+            .specs
+            .iter()
+            .filter_map(|rec| durability::record_to_spec(rec, state.limits.deadline_ms))
+            .collect();
+        let owner = Owner::Recovery {
+            trace: intent.trace,
+            spilled: intent.spilled,
+        };
+        el.batches
+            .insert(el.next_batch, Batch::new(owner, Some(intent.id), specs));
+        el.next_batch += 1;
+    }
+    el.recovery = 0..el.next_batch;
+    el.advance_recovery();
     let mut events = vec![EpollEvent::default(); EVENTS_PER_WAIT];
     let mut listening = true;
     loop {
@@ -889,7 +958,8 @@ fn run_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Result
                 el.epoll.del(listener.as_raw_fd());
                 listening = false;
             }
-            if el.conns.is_empty() && el.inflight_dispatches == 0 {
+            el.advance_recovery();
+            if el.conns.is_empty() && el.batches.is_empty() {
                 break;
             }
         }
@@ -914,11 +984,11 @@ fn run_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Result
                         el.accept_ready(listener);
                     }
                 }
-                TOK_WAKE => el.wake.drain(),
+                TOK_WAKE => el.state.wake.drain(),
                 _ => el.on_conn_event(token, mask),
             }
         }
-        while let Ok(done) = rx.try_recv() {
+        while let Ok(done) = done_rx.try_recv() {
             el.on_completion(done);
         }
         el.on_timers();
@@ -1184,33 +1254,13 @@ impl EventLoop<'_> {
             self.enqueue_line(conn, &reply, Some(ctx));
             return;
         }
-        match dispatch_line(self.state, line, &mut ctx) {
-            Dispatch::Reply(reply) => self.enqueue_line(conn, &reply, Some(ctx)),
-            Dispatch::Run(run) => {
+        match self.dispatch_line(token, line, ctx) {
+            Some((ctx, reply)) => self.enqueue_line(conn, &reply, Some(ctx)),
+            // The request is a batch now: stop framing input until its
+            // reply is delivered.
+            None => {
                 conn.phase = ConnPhase::InFlight;
                 conn.read_deadline = None;
-                self.inflight_dispatches += 1;
-                spawn_run_settler(
-                    self.state,
-                    run,
-                    ctx,
-                    token,
-                    self.tx.clone(),
-                    Arc::clone(&self.wake),
-                );
-            }
-            Dispatch::Sweep(specs) => {
-                conn.phase = ConnPhase::InFlight;
-                conn.read_deadline = None;
-                self.inflight_dispatches += 1;
-                spawn_sweep_driver(
-                    self.state,
-                    specs,
-                    ctx,
-                    token,
-                    self.tx.clone(),
-                    Arc::clone(&self.wake),
-                );
             }
         }
     }
@@ -1460,20 +1510,307 @@ impl EventLoop<'_> {
         self.fired = fired;
     }
 
-    /// A settler finished: hand its reply to the connection (or settle
+    /// Routes one request line to its handler, recording the parse span
+    /// and classifying the request for the access log as it goes. Quick
+    /// ops answer inline, as do refusals; runs and sweeps become batches
+    /// (and come back here only if the cache or a refusal settles them
+    /// whole).
+    fn dispatch_line(
+        &mut self,
+        token: u64,
+        line: &str,
+        mut ctx: RequestCtx,
+    ) -> Option<(RequestCtx, String)> {
+        let state = self.state;
+        let parse_started = Instant::now();
+        let parsed = parse_request(line, &state.limits);
+        ctx.ledger.record(Phase::Parse, ns_since(parse_started));
+        let (op, reply) = match parsed {
+            Err(e) => ("malformed", refuse(state, &e, &mut ctx)),
+            Ok(Request::Status) => ("status", status_reply(state, ctx.trace)),
+            Ok(Request::Health) => ("health", health_reply(state, ctx.trace)),
+            Ok(Request::Metrics) => ("metrics", metrics_reply(state, ctx.trace)),
+            Ok(Request::Shutdown) => ("shutdown", shutdown_reply(state, ctx.trace)),
+            Ok(Request::Run(spec)) => {
+                ctx.op = "run";
+                ctx.bench = Some(spec.bench.clone());
+                return self.start_batch(token, ctx, true, vec![*spec]);
+            }
+            Ok(Request::Sweep(specs)) => {
+                ctx.op = "sweep";
+                return self.start_batch(token, ctx, false, specs);
+            }
+        };
+        ctx.op = op;
+        Some((ctx, reply))
+    }
+
+    /// Hands a finished request's reply to its connection, or settles
     /// the request anyway if the client vanished mid-run — the work
-    /// still landed in the cache and journal).
-    fn on_completion(&mut self, done: Completion) {
-        self.inflight_dispatches -= 1;
-        let Some(mut conn) = self.conns.remove(&done.token) else {
-            self.state.observe_request(&done.ctx);
+    /// still landed in the cache and journal.
+    fn deliver(&mut self, token: u64, ctx: RequestCtx, reply: String) {
+        let Some(mut conn) = self.conns.remove(&token) else {
+            self.state.observe_request(&ctx);
             return;
         };
         conn.phase = ConnPhase::Reading;
         conn.accept_started = Instant::now();
-        self.arm_read(done.token, &mut conn);
-        self.enqueue_line(&mut conn, &done.reply, Some(done.ctx));
-        self.finish(done.token, conn, Fate::Keep);
+        self.arm_read(token, &mut conn);
+        self.enqueue_line(&mut conn, &reply, Some(ctx));
+        self.finish(token, conn, Fate::Keep);
+    }
+
+    /// A row landed: fold its worker-side spans into the request and
+    /// record its outcome. The pool just moved, so parked rows go first;
+    /// then the batch closes if that was its last row.
+    fn on_completion(&mut self, done: Completion) {
+        let (id, index) = done.slot;
+        if let Some(batch) = self.batches.get_mut(&id) {
+            batch.outstanding -= 1;
+            if let Owner::Client { ctx, .. } = &mut batch.owner {
+                for phase in Phase::ALL {
+                    ctx.ledger.record(phase, done.spans.wall_ns(phase));
+                    ctx.ledger.record_cycles(phase, done.spans.cycles(phase));
+                }
+                ctx.trace_events = ctx.trace_events.saturating_add(done.trace_events);
+            }
+            batch.rows[index].outcome = done.outcome;
+        }
+        self.resume_parked();
+        if let Some((token, ctx, reply)) = self.take_settled(id) {
+            self.deliver(token, ctx, reply);
+        }
+    }
+
+    /// Starts a `run` (a `lone` one-row batch) or a `sweep`. A sweep
+    /// journals one intent for its whole roster: it is one logical
+    /// request, and a restart resumes exactly the rows still owed (cached
+    /// rows are hits again, spilled rows restart from their checkpoint);
+    /// its single trace id rides in the intent. A batch the cache or a
+    /// refusal settles whole comes back as the reply to send now.
+    fn start_batch(
+        &mut self,
+        token: u64,
+        mut ctx: RequestCtx,
+        lone: bool,
+        specs: Vec<RunSpec>,
+    ) -> Option<(RequestCtx, String)> {
+        // Work submitted after the drain began is refused, not queued.
+        if self.state.draining() {
+            let reply = refuse(self.state, &ReqError::draining(), &mut ctx);
+            return Some((ctx, reply));
+        }
+        let mut intent = None;
+        if !lone {
+            let journal_started = Instant::now();
+            intent = self.state.durable.as_ref().map(|d| {
+                let id = d.next_intent_id();
+                d.journal_intent(id, ctx.trace, &specs);
+                id
+            });
+            ctx.ledger.record(Phase::Journal, ns_since(journal_started));
+        }
+        let id = self.next_batch;
+        self.next_batch += 1;
+        let owner = Owner::Client { token, ctx, lone };
+        self.batches.insert(id, Batch::new(owner, intent, specs));
+        self.resume_parked();
+        self.pump(id);
+        self.take_settled(id).map(|(_, ctx, reply)| (ctx, reply))
+    }
+
+    /// Dispatches a batch's rows in roster order until every row is out,
+    /// recovery's single outstanding row is on the pool, or the pool
+    /// answers `Busy`. Cache hits and refusals settle rows on the spot.
+    /// On `Busy` a lone run is shed with a 429, while a sweep or
+    /// recovery row — owed work that must not shed itself — parks, and
+    /// this returns `false`.
+    fn pump(&mut self, id: u64) -> bool {
+        let state = self.state;
+        let Some(batch) = self.batches.get_mut(&id) else {
+            return true;
+        };
+        let lone = matches!(batch.owner, Owner::Client { lone: true, .. });
+        let recovery = matches!(batch.owner, Owner::Recovery { .. });
+        while batch.next < batch.rows.len() {
+            // Recovery keeps one row outstanding so live traffic keeps
+            // most of the pool, and stops on drain or once the pool gave
+            // up: its undispatched rows stay journaled for the next boot.
+            if recovery && (batch.outstanding > 0 || state.draining() || state.pool.gave_up()) {
+                return true;
+            }
+            let index = batch.next;
+            let row = &mut batch.rows[index];
+            let ready = match &row.ready {
+                Some(ready) => Arc::clone(ready),
+                None => match admit_row(state, &mut batch.owner, &mut batch.intent, &row.spec) {
+                    Ok(ready) => row.ready.insert(ready).clone(),
+                    Err(outcome) => {
+                        row.outcome = outcome;
+                        batch.next += 1;
+                        continue;
+                    }
+                },
+            };
+            let resume_from = match &batch.owner {
+                Owner::Recovery { spilled, .. } => spilled.get(&row.spec.bench).copied(),
+                _ => None,
+            };
+            let plan = batch
+                .intent
+                .zip(state.durable.as_ref())
+                .map(|(intent, d)| SpillPlan {
+                    durability: Arc::clone(d),
+                    id: intent,
+                    spec: row.spec.clone(),
+                    resume_from,
+                    recovery,
+                });
+            match submit_row(state, (id, index), &row.spec, &ready, plan, lone) {
+                Ok(()) => {
+                    batch.next += 1;
+                    batch.outstanding += 1;
+                    // From here the lone run's own callback retires it.
+                    if lone {
+                        batch.intent = None;
+                    }
+                }
+                Err(SubmitError::Busy { .. }) if !lone => {
+                    state.count("serve_retries_total");
+                    self.parked.insert(id);
+                    return false;
+                }
+                Err(_) if recovery => return true,
+                // Shed before dispatch: the client gets its typed refusal,
+                // and closing the batch retires the lone run's intent.
+                Err(e) => {
+                    row.outcome = SweepOutcome::Failed(submit_error(e));
+                    batch.next += 1;
+                }
+            }
+        }
+        true
+    }
+
+    /// Re-attempts parked batches, oldest first, until the pool answers
+    /// `Busy` again, then lets recovery take its next step.
+    fn resume_parked(&mut self) {
+        while let Some(id) = self.parked.pop_first() {
+            if !self.pump(id) {
+                break;
+            }
+            if let Some((token, ctx, reply)) = self.take_settled(id) {
+                self.deliver(token, ctx, reply);
+            }
+        }
+        self.advance_recovery();
+    }
+
+    /// Boot recovery, one journaled intent at a time: cached rows
+    /// (reloaded from the cache log) are skipped outright; the rest
+    /// restore from their spill checkpoints and run to completion,
+    /// landing in the cache so the original requester's retry is a
+    /// bit-identical hit. `health` reports `recovery_active` until the
+    /// last intent is done or recovery stops.
+    fn advance_recovery(&mut self) {
+        while let Some(id) = self.recovery.clone().next() {
+            self.pump(id);
+            let _ = self.take_settled(id);
+            if self.recovery.start == id {
+                return;
+            }
+        }
+        if let Some(d) = &self.state.durable {
+            d.recovery.active.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Takes a batch out once nothing more can happen to it and closes
+    /// it, returning the connection and reply a run or sweep owes. A
+    /// finished sweep or recovered intent is retired: its `Done` is
+    /// journaled and its spills are garbage-collected (a lone run's own
+    /// callback retired it already).
+    fn take_settled(&mut self, id: u64) -> Option<(u64, RequestCtx, String)> {
+        let state = self.state;
+        let batch = self.batches.get(&id)?;
+        let stopped = matches!(batch.owner, Owner::Recovery { .. })
+            && (state.draining() || state.pool.gave_up());
+        if batch.outstanding > 0 || (batch.next < batch.rows.len() && !stopped) {
+            return None;
+        }
+        let mut batch = self.batches.remove(&id)?;
+        self.parked.remove(&id);
+        if batch.next < batch.rows.len() {
+            // Recovery stopped by a drain or a pool that gave up: this and
+            // every later intent stay journaled for the next boot.
+            let rest = self.recovery.clone();
+            self.batches.retain(|id, _| !rest.contains(id));
+            self.recovery.start = rest.end;
+            return None;
+        }
+        // Every row has landed and any reply is about to reach its client:
+        // retire the intent the batch still holds.
+        let journal_started = Instant::now();
+        if let (Some(d), Some(intent)) = (&state.durable, batch.intent) {
+            d.retire(intent, batch.rows.iter().map(|row| row.spec.bench.as_str()));
+            if let Owner::Client { ctx, .. } = &mut batch.owner {
+                ctx.ledger.record(Phase::Journal, ns_since(journal_started));
+            }
+        }
+        match batch.owner {
+            Owner::Client {
+                token,
+                mut ctx,
+                lone: true,
+            } => {
+                let reply = match batch.rows.swap_remove(0).outcome {
+                    SweepOutcome::Done { cached, report } => {
+                        ctx.cached = cached;
+                        run_reply(ctx.trace, cached, &report)
+                    }
+                    SweepOutcome::Failed(e) => refuse(state, &e, &mut ctx),
+                };
+                Some((token, ctx, reply))
+            }
+            Owner::Client { token, ctx, .. } => {
+                let rows: Vec<(String, SweepOutcome)> = batch
+                    .rows
+                    .into_iter()
+                    .map(|row| {
+                        if let SweepOutcome::Failed(e) = &row.outcome {
+                            state.count(refusal_metric(e.code));
+                        }
+                        (row.spec.bench, row.outcome)
+                    })
+                    .collect();
+                let reply = sweep_reply(ctx.trace, &rows);
+                Some((token, ctx, reply))
+            }
+            Owner::Recovery { trace, .. } => {
+                self.recovery.start = id + 1;
+                // A failed resume still counts: the run was re-attempted,
+                // which is all the journal promises.
+                let resumed = batch.rows.iter().filter(|row| row.ready.is_some()).count() as u64;
+                if let Some(d) = &state.durable {
+                    d.recovery.runs_resumed.fetch_add(resumed, Ordering::SeqCst);
+                    if resumed > 0 && batch.rows.len() > 1 {
+                        d.recovery.sweeps_resumed.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                // Crash recovery is attributable: the access log records
+                // the resume under the trace id of the original request.
+                if state.access.is_some() {
+                    let mut w = JsonWriter::object();
+                    w.field_u64("ts_ms", state.now_ms());
+                    w.field_str("trace_id", &format_trace_id(trace));
+                    w.field_str("op", "resume");
+                    w.field_u64("status", 200);
+                    w.field_u64("runs_resumed", resumed);
+                    state.log_access(&w.finish());
+                }
+                None
+            }
+        }
     }
 
     /// Registers the interest mask the connection's state implies:
@@ -1533,211 +1870,148 @@ impl EventLoop<'_> {
     }
 }
 
-/// Routes one request line to its handler, recording the parse span
-/// and classifying the request for the access log as it goes. Quick
-/// ops answer inline; runs and sweeps dispatch off-loop.
-fn dispatch_line(state: &Arc<State>, line: &str, ctx: &mut RequestCtx) -> Dispatch {
-    let parse_started = Instant::now();
-    let parsed = parse_request(line, &state.limits);
-    ctx.ledger.record(Phase::Parse, ns_since(parse_started));
-    match parsed {
-        Err(e) => Dispatch::Reply(refuse(state, &e, ctx)),
-        Ok(Request::Status) => {
-            ctx.op = "status";
-            Dispatch::Reply(status_reply(state, ctx.trace))
-        }
-        Ok(Request::Health) => {
-            ctx.op = "health";
-            Dispatch::Reply(health_reply(state, ctx.trace))
-        }
-        Ok(Request::Metrics) => {
-            ctx.op = "metrics";
-            Dispatch::Reply(metrics_reply(state, ctx.trace))
-        }
-        Ok(Request::Shutdown) => {
-            ctx.op = "shutdown";
-            Dispatch::Reply(shutdown_reply(state, ctx.trace))
-        }
-        Ok(Request::Run(spec)) => {
-            ctx.op = "run";
-            ctx.bench = Some(spec.bench.clone());
-            match start_run(state, &spec, ctx) {
-                Ok(RunStart::Cached(report)) => {
-                    ctx.cached = true;
-                    Dispatch::Reply(run_reply(ctx.trace, true, &report))
-                }
-                Ok(RunStart::Dispatched(run)) => Dispatch::Run(run),
-                Err(e) => Dispatch::Reply(refuse(state, &e, ctx)),
-            }
-        }
-        Ok(Request::Sweep(specs)) => {
-            ctx.op = "sweep";
-            Dispatch::Sweep(specs)
-        }
-    }
-}
-
 /// Counts a refusal under the right metric and renders the error reply
 /// (the trace id rides along so even a 408/429/503 is attributable).
 fn refuse(state: &Arc<State>, e: &ReqError, ctx: &mut RequestCtx) -> String {
     ctx.status = e.code;
-    state.count(match e.code {
-        429 => "serve_busy_total",
-        408 => "serve_deadline_expired_total",
-        _ => "serve_errors_total",
-    });
+    state.count(refusal_metric(e.code));
     error_reply(e, ctx.trace)
 }
 
-/// How the front half of a `run` dispatch ended.
-enum RunStart {
-    /// Served bit-identically from the cache; no pool involved.
-    Cached(String),
-    /// Accepted onto the pool; a settler thread owns it now.
-    Dispatched(Box<DispatchedRun>),
+/// The counter a refusal (or a failed sweep row) is counted under.
+fn refusal_metric(code: u16) -> &'static str {
+    match code {
+        429 => "serve_busy_total",
+        408 => "serve_deadline_expired_total",
+        _ => "serve_errors_total",
+    }
 }
 
-/// The `run` op's front half, on the loop thread: draining check,
-/// cache lookup, breaker admission, intent journaling, bounded
-/// submission. Refusals (429/503) are immediate; an accepted run
-/// comes back as [`RunStart::Dispatched`] for off-loop settlement.
-fn start_run(
-    state: &Arc<State>,
+/// The program, manager and configuration a validated spec describes,
+/// and the cache key that identifies them.
+struct Prepared {
+    program: Program,
+    kind: ManagerKind,
+    cfg: RunConfig,
+    key: u128,
+}
+
+fn prepare(spec: &RunSpec) -> Result<Prepared, ReqError> {
+    // The spec was validated at parse time; a vanished benchmark here
+    // would be a roster bug, reported as 500 rather than a panic.
+    let b = powerchop_workloads::by_name(&spec.bench)
+        .ok_or_else(|| ReqError::internal(format!("benchmark {:?} vanished", spec.bench)))?;
+    let mut cfg = RunConfig::for_kind(b.core_kind());
+    cfg.max_instructions = spec.budget;
+    cfg.faults = fault_config(spec.seed, spec.storm);
+    let program = b.program(Scale(spec.scale));
+    let key = run_key(
+        program.fingerprint(),
+        config_fingerprint(spec.manager, &cfg),
+    );
+    Ok(Prepared {
+        program,
+        kind: spec.manager,
+        cfg,
+        key,
+    })
+}
+
+/// A row's front half on the loop: prepare it and look it up in the
+/// cache. With a client waiting the lookup is charged to its cache span
+/// and counted, and a lone run must pass the breaker, then journals its
+/// own intent before dispatch. `Err` settles the row on the spot with a
+/// cache hit or a refusal. Recovery looks up silently: a cached row
+/// owes nothing.
+fn admit_row(
+    state: &State,
+    owner: &mut Owner,
+    intent: &mut Option<u64>,
     spec: &RunSpec,
-    ctx: &mut RequestCtx,
-) -> Result<RunStart, ReqError> {
-    if state.draining() {
-        return Err(ReqError::draining());
-    }
-    let (program, cfg, key) = prepare(spec)?;
+) -> Result<Arc<Prepared>, SweepOutcome> {
+    let prepared = prepare(spec).map_err(SweepOutcome::Failed)?;
     let cache_started = Instant::now();
-    let hit = state.cache.get(key);
+    let hit = state
+        .cache
+        .get(prepared.key)
+        .map(|report| SweepOutcome::Done {
+            cached: true,
+            report,
+        });
+    let (ctx, lone) = match owner {
+        Owner::Client { ctx, lone, .. } => (ctx, *lone),
+        Owner::Recovery { .. } => return hit.map_or_else(|| Ok(Arc::new(prepared)), Err),
+    };
     ctx.ledger.record(Phase::Cache, ns_since(cache_started));
     if let Some(hit) = hit {
         state.count("serve_cache_hits_total");
-        return Ok(RunStart::Cached(hit));
+        return Err(hit);
     }
-    state.breaker_admit()?;
+    if lone {
+        state.breaker_admit().map_err(SweepOutcome::Failed)?;
+    }
     state.count("serve_cache_misses_total");
-    let deadline_ms = spec.deadline_ms;
-    // Journal the accepted intent before dispatch. Chaos runs are never
-    // journaled: a deliberately-killed worker is a drill, not work the
-    // daemon owes anyone after a restart. The intent carries the trace
-    // id, so a crash-recovery resume stays attributable to the request
-    // that created the obligation.
-    let journal_started = Instant::now();
-    let plan = match &state.durable {
-        Some(d) if !spec.chaos_panic => {
+    if lone {
+        // Chaos runs are never journaled: a deliberately-killed worker
+        // is a drill, not work the daemon owes anyone after a restart.
+        // The intent carries the trace id, so a crash-recovery resume
+        // stays attributable to the request that created the obligation.
+        let journal_started = Instant::now();
+        if let Some(d) = state.durable.as_ref().filter(|_| !spec.chaos_panic) {
             let id = d.next_intent_id();
             d.journal_intent(id, ctx.trace, std::slice::from_ref(spec));
-            Some(SpillPlan {
-                durability: Arc::clone(d),
-                id,
-                spec: spec.clone(),
-                resume_from: None,
-                recovery: false,
-            })
+            *intent = Some(id);
         }
-        _ => None,
-    };
-    ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-    let intent = plan.as_ref().map(|p| p.id);
-    match state.pool.submit(run_job(
-        program,
-        spec.manager,
-        cfg,
-        deadline_ms,
-        spec.chaos_panic,
-        plan,
-        state.traced(),
-    )) {
-        Ok(handle) => Ok(RunStart::Dispatched(Box::new(DispatchedRun {
-            key,
-            deadline_ms,
-            handle,
-            intent,
-            bench: spec.bench.clone(),
-        }))),
-        Err(e) => {
-            // Shed before dispatch: retire the intent now — the client
-            // gets its typed refusal and the daemon owes nothing.
-            let journal_started = Instant::now();
-            if let (Some(d), Some(id)) = (&state.durable, intent) {
-                d.journal_done(id);
-                d.remove_spills(id, [spec.bench.as_str()]);
-                ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-            }
-            Err(submit_error(e))
-        }
+        ctx.ledger.record(Phase::Journal, ns_since(journal_started));
     }
+    Ok(Arc::new(prepared))
 }
 
-/// Waits a dispatched run out on its own small thread, retires its
-/// journal intent, and hands the rendered reply back to the event loop
-/// over the completion channel + eventfd wakeup.
-fn spawn_run_settler(
+/// Submits one row — a lone run, a sweep row or a resumed row alike —
+/// to the pool, its deadline fixed here so queue wait counts against
+/// it. The completion callback settles the outcome on the worker and
+/// hands the row back to the loop. Only a `lone` run honours `chaos`
+/// (it steps one chunk and then kills its worker with the
+/// [`KillWorker`] sentinel) and retires its own intent from the worker.
+/// Resumed rows run untraced: nobody is waiting to read their spans.
+fn submit_row(
     state: &Arc<State>,
-    run: Box<DispatchedRun>,
-    mut ctx: RequestCtx,
-    token: u64,
-    tx: mpsc::Sender<Completion>,
-    wake: Arc<WakeFd>,
-) {
-    let state = Arc::clone(state);
-    std::thread::spawn(move || {
-        let DispatchedRun {
-            key,
-            deadline_ms,
-            handle,
-            intent,
-            bench,
-        } = *run;
-        let outcome = settle(&state, key, deadline_ms, handle, Some(&mut ctx));
-        // Retire the intent however the run ended: the client gets its
-        // reply (success or typed error), so the daemon owes nothing
-        // after this.
-        let journal_started = Instant::now();
-        if let (Some(d), Some(id)) = (&state.durable, intent) {
-            d.journal_done(id);
-            d.remove_spills(id, [bench.as_str()]);
-            ctx.ledger.record(Phase::Journal, ns_since(journal_started));
+    slot: (u64, usize),
+    spec: &RunSpec,
+    ready: &Arc<Prepared>,
+    plan: Option<SpillPlan>,
+    lone: bool,
+) -> Result<(), SubmitError> {
+    let submitted = Instant::now();
+    let (deadline_ms, chaos_panic) = (spec.deadline_ms, lone && spec.chaos_panic);
+    let traced = state.traced() && !plan.as_ref().is_some_and(|p| p.recovery);
+    let retire = plan.clone().filter(|_| lone);
+    let ready = Arc::clone(ready);
+    let key = ready.key;
+    let job = move || {
+        if chaos_panic {
+            if let Ok(mut sim) = Simulation::new(&ready.program, ready.kind, &ready.cfg) {
+                let _ = sim.step_chunk(STEP_CHUNK);
+            }
+            std::panic::panic_any(KillWorker);
         }
-        let reply = match outcome {
-            Ok(json) => run_reply(ctx.trace, false, &json),
-            Err(e) => refuse(&state, &e, &mut ctx),
-        };
-        // Send-then-ring: the message is in the channel before the
-        // eventfd wakes the loop, so the drain always finds it.
-        let _ = tx.send(Completion { token, ctx, reply });
-        wake.ring();
-    });
-}
-
-/// Drives a whole sweep from its own thread (the sweep path blocks on
-/// seeded-jitter Busy retries and roster-order settlement, neither of
-/// which may run on the event loop).
-fn spawn_sweep_driver(
-    state: &Arc<State>,
-    specs: Vec<RunSpec>,
-    mut ctx: RequestCtx,
-    token: u64,
-    tx: mpsc::Sender<Completion>,
-    wake: Arc<WakeFd>,
-) {
-    let state = Arc::clone(state);
-    std::thread::spawn(move || {
-        let reply = sweep(&state, specs, &mut ctx);
-        let _ = tx.send(Completion { token, ctx, reply });
-        wake.ring();
-    });
-}
-
-/// How one dispatched run can fail.
-enum RunFail {
-    /// The deadline watchdog tripped.
-    Deadline,
-    /// The simulator returned a typed error.
-    Sim(String),
+        run_until(&ready, submitted, deadline_ms, plan.as_ref(), traced)
+    };
+    let shared = Arc::clone(state);
+    state.pool.submit(job, move |result| {
+        let mut done = settle(&shared, slot, key, result);
+        // Retire the intent however the run ended: the client gets its
+        // reply (success or typed error), so the daemon owes nothing.
+        if let Some(plan) = retire {
+            let journal_started = Instant::now();
+            plan.durability.retire(plan.id, [plan.spec.bench.as_str()]);
+            done.spans.record(Phase::Journal, ns_since(journal_started));
+        }
+        // Send-then-ring: the row is in the channel before the eventfd
+        // wakes the loop, so the drain always finds it.
+        let _ = shared.done_tx.send(done);
+        shared.wake.ring();
+    })
 }
 
 /// A completed run plus its span attribution: how long it sat in the
@@ -1750,12 +2024,12 @@ struct RunDone {
     trace_events: u64,
 }
 
-/// Runs one simulation under a deadline watchdog, mirroring the CLI
-/// `supervise` machinery: the watchdog trips a cancel flag once the
-/// deadline passes and is released early through the channel when the
-/// run ends; the run polls the flag between step chunks. A zero
-/// deadline is already expired, so it trips here rather than racing the
-/// watchdog thread's first schedule.
+/// Runs one simulation submitted at `submitted` until it completes or
+/// its deadline, `deadline_ms` after submission, passes (one too far out
+/// to represent never does). The deadline is checked before the
+/// simulation is even built — a run whose deadline expired in the queue
+/// never computes — and then at every step-chunk boundary. Failures are
+/// the typed 408 or 500 the client will see.
 ///
 /// The optional [`SpillPlan`] adds the durability hooks: it restores
 /// the simulation from its spill checkpoint (resume path) and spills a
@@ -1766,55 +2040,53 @@ struct RunDone {
 /// [`Simulation::attach_tracer`], so the flight recorder captures the
 /// run's phase spans; tracing never changes simulated state, so traced
 /// and untraced runs produce bit-identical reports.
-fn run_with_deadline_plan(
-    program: &Program,
-    kind: ManagerKind,
-    cfg: &RunConfig,
+fn run_until(
+    ready: &Prepared,
+    submitted: Instant,
     deadline_ms: u64,
     plan: Option<&SpillPlan>,
     traced: bool,
-) -> Result<(RunReport, u64), RunFail> {
-    let cancel = Arc::new(AtomicBool::new(deadline_ms == 0));
-    let watchdog_flag = Arc::clone(&cancel);
-    let (release, released) = mpsc::channel::<()>();
-    let deadline = Duration::from_millis(deadline_ms);
-    let watchdog = std::thread::spawn(move || {
-        if released.recv_timeout(deadline).is_err() {
-            watchdog_flag.store(true, Ordering::Relaxed);
+) -> Result<RunDone, ReqError> {
+    // The wait between submission and pickup *is* the queue span.
+    let queue_ns = ns_since(submitted);
+    let deadline = submitted.checked_add(Duration::from_millis(deadline_ms));
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if expired() {
+        return Err(ReqError::deadline(deadline_ms));
+    }
+    let compute_started = Instant::now();
+    let mut sim = restore_or_new(ready, plan)?;
+    if traced {
+        sim.attach_tracer(Tracer::enabled(TelemetryConfig {
+            ring_capacity: 256,
+            sample_every_cycles: 0,
+        }));
+    }
+    let mut last_spill = sim.retired();
+    while !sim.is_done() {
+        if expired() {
+            return Err(ReqError::deadline(deadline_ms));
         }
-    });
-    let result = (|| {
-        let mut sim = restore_or_new(program, kind, cfg, plan)?;
-        if traced {
-            sim.attach_tracer(Tracer::enabled(TelemetryConfig {
-                ring_capacity: 256,
-                sample_every_cycles: 0,
-            }));
-        }
-        let mut last_spill = sim.retired();
-        while !sim.is_done() {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(RunFail::Deadline);
-            }
-            sim.step_chunk(STEP_CHUNK)
-                .map_err(|e| RunFail::Sim(e.to_string()))?;
-            if let Some(plan) = plan {
-                if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
-                    spill_now(&mut sim, plan);
-                    last_spill = sim.retired();
-                }
+        sim.step_chunk(STEP_CHUNK)
+            .map_err(|e| ReqError::internal(e.to_string()))?;
+        if let Some(plan) = plan {
+            if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
+                spill_now(&mut sim, plan);
+                last_spill = sim.retired();
             }
         }
-        let (report, tracer) = sim.into_report_with_telemetry();
-        let events = tracer
-            .recorder()
-            .map(|r| r.events().len() as u64)
-            .unwrap_or(0);
-        Ok((report, events))
-    })();
-    let _ = release.send(());
-    let _ = watchdog.join();
-    result
+    }
+    let (report, tracer) = sim.into_report_with_telemetry();
+    let trace_events = tracer
+        .recorder()
+        .map(|r| r.events().len() as u64)
+        .unwrap_or(0);
+    Ok(RunDone {
+        report,
+        queue_ns,
+        compute_ns: ns_since(compute_started),
+        trace_events,
+    })
 }
 
 /// Builds the simulation for a planned run: from its spill checkpoint
@@ -1822,38 +2094,30 @@ fn run_with_deadline_plan(
 /// fresh otherwise. A lost or unreadable spill degrades to a fresh run
 /// — with the re-done instructions honestly counted — never a panic.
 fn restore_or_new<'p>(
-    program: &'p Program,
-    kind: ManagerKind,
-    cfg: &RunConfig,
+    ready: &'p Prepared,
     plan: Option<&SpillPlan>,
-) -> Result<Simulation<'p>, RunFail> {
-    if let Some(plan) = plan {
-        if plan.recovery {
-            let promised = plan.resume_from.unwrap_or(0);
-            let restored = std::fs::read(plan.path())
-                .ok()
-                .and_then(|bytes| Simulation::restore(program, kind, cfg, &bytes).ok());
-            let ledger = &plan.durability.recovery;
-            return match restored {
-                Some(sim) => {
-                    ledger
-                        .resumed_instructions
-                        .fetch_add(sim.retired(), Ordering::SeqCst);
-                    ledger
-                        .redone_instructions
-                        .fetch_add(promised.saturating_sub(sim.retired()), Ordering::SeqCst);
-                    Ok(sim)
-                }
-                None => {
-                    ledger
-                        .redone_instructions
-                        .fetch_add(promised, Ordering::SeqCst);
-                    Simulation::new(program, kind, cfg).map_err(|e| RunFail::Sim(e.to_string()))
-                }
-            };
-        }
-    }
-    Simulation::new(program, kind, cfg).map_err(|e| RunFail::Sim(e.to_string()))
+) -> Result<Simulation<'p>, ReqError> {
+    let Prepared {
+        program, kind, cfg, ..
+    } = ready;
+    let fresh =
+        || Simulation::new(program, *kind, cfg).map_err(|e| ReqError::internal(e.to_string()));
+    let Some(plan) = plan.filter(|p| p.recovery) else {
+        return fresh();
+    };
+    let restored = std::fs::read(plan.path())
+        .ok()
+        .and_then(|bytes| Simulation::restore(program, *kind, cfg, &bytes).ok());
+    let resumed = restored.as_ref().map_or(0, Simulation::retired);
+    let promised = plan.resume_from.unwrap_or(0);
+    let ledger = &plan.durability.recovery;
+    ledger
+        .resumed_instructions
+        .fetch_add(resumed, Ordering::SeqCst);
+    ledger
+        .redone_instructions
+        .fetch_add(promised.saturating_sub(resumed), Ordering::SeqCst);
+    restored.map_or_else(fresh, Ok)
 }
 
 /// Spills one checkpoint: atomic file write first, journal marker
@@ -1869,62 +2133,41 @@ fn spill_now(sim: &mut Simulation<'_>, plan: &SpillPlan) {
     }
 }
 
-/// The program + configuration a validated spec describes, and the
-/// cache key that identifies the pair.
-fn prepare(spec: &RunSpec) -> Result<(Program, RunConfig, u128), ReqError> {
-    // The spec was validated at parse time; a vanished benchmark here
-    // would be a roster bug, reported as 500 rather than a panic.
-    let b = powerchop_workloads::by_name(&spec.bench)
-        .ok_or_else(|| ReqError::internal(format!("benchmark {:?} vanished", spec.bench)))?;
-    let mut cfg = RunConfig::for_kind(b.core_kind());
-    cfg.max_instructions = spec.budget;
-    cfg.faults = fault_config(spec.seed, spec.storm);
-    let program = b.program(Scale(spec.scale));
-    let key = run_key(
-        program.fingerprint(),
-        config_fingerprint(spec.manager, &cfg),
-    );
-    Ok((program, cfg, key))
-}
-
-/// Waits out a dispatched run and folds the outcome into the cache and
-/// counters. The returned report string is exactly what the cache will
-/// replay for the next identical request.
+/// A row's completion callback, on the worker that ran it: folds the
+/// outcome into the breaker, the counters and the cache (plus the cache
+/// log), and charges the worker-side spans. The report string is exactly
+/// what the cache will replay for the next identical request.
 fn settle(
-    state: &Arc<State>,
+    state: &State,
+    slot: (u64, usize),
     key: u128,
-    deadline_ms: u64,
-    handle: JobHandle<Result<RunDone, RunFail>>,
-    mut ctx: Option<&mut RequestCtx>,
-) -> Result<String, ReqError> {
-    match handle.wait() {
+    result: Result<Result<RunDone, ReqError>, JobPanic>,
+) -> Completion {
+    let mut spans = SpanLedger::default();
+    let mut trace_events = 0;
+    let outcome = match result {
         Err(panic) => {
             state.count("serve_panics_total");
             state.breaker_observe(false);
-            Err(ReqError::internal(format!(
+            SweepOutcome::Failed(ReqError::internal(format!(
                 "run panicked: {}",
                 panic.message
             )))
         }
         // A deadline expiry is the *client's* budget running out, not
         // evidence the run path is sick; it does not feed the breaker.
-        Ok(Err(RunFail::Deadline)) => Err(ReqError::deadline(deadline_ms)),
-        Ok(Err(RunFail::Sim(message))) => {
-            state.breaker_observe(false);
-            Err(ReqError::internal(message))
+        Ok(Err(e)) => {
+            if e.code != 408 {
+                state.breaker_observe(false);
+            }
+            SweepOutcome::Failed(e)
         }
         Ok(Ok(done)) => {
             state.breaker_observe(true);
-            // Attribute the worker-side spans back to the request: time
-            // queued, time computing (plus the simulated cycles behind
-            // it), and whatever the attached tracer captured.
-            if let Some(ctx) = ctx.as_deref_mut() {
-                ctx.ledger.record(Phase::Queue, done.queue_ns);
-                ctx.ledger.record(Phase::Compute, done.compute_ns);
-                ctx.ledger.record_cycles(Phase::Compute, done.report.cycles);
-                ctx.compute_cycles = ctx.compute_cycles.saturating_add(done.report.cycles);
-                ctx.trace_events = ctx.trace_events.saturating_add(done.trace_events);
-            }
+            spans.record(Phase::Queue, done.queue_ns);
+            spans.record(Phase::Compute, done.compute_ns);
+            spans.record_cycles(Phase::Compute, done.report.cycles);
+            trace_events = done.trace_events;
             let report = done.report;
             // Fold this run's JIT activity into the daemon-wide counters.
             // Deliberately *not* part of the reply JSON: replies stay
@@ -1946,12 +2189,19 @@ fn settle(
                     d.record_cache_put(key, &json);
                 }
             }
-            if let Some(ctx) = ctx {
-                ctx.ledger.record(Phase::Cache, ns_since(cache_started));
-            }
+            spans.record(Phase::Cache, ns_since(cache_started));
             state.count("serve_runs_total");
-            Ok(json)
+            SweepOutcome::Done {
+                cached: false,
+                report: json,
+            }
         }
+    };
+    Completion {
+        slot,
+        outcome,
+        spans,
+        trace_events,
     }
 }
 
@@ -1962,338 +2212,6 @@ fn submit_error(e: SubmitError) -> ReqError {
         SubmitError::Closed => ReqError::draining(),
         SubmitError::Unavailable => ReqError::unavailable(),
     }
-}
-
-/// Builds the pool job for one run: charge the queue wait against the
-/// request's [`DeadlineBudget`] (so waiting cannot buy extra compute
-/// time), then run under a watchdog for whatever remains. A
-/// `chaos_panic` spec steps one chunk and then kills its worker with
-/// the [`KillWorker`] sentinel — the supervision path, on demand.
-fn run_job(
-    program: Program,
-    kind: ManagerKind,
-    cfg: RunConfig,
-    deadline_ms: u64,
-    chaos_panic: bool,
-    plan: Option<SpillPlan>,
-    traced: bool,
-) -> impl FnOnce() -> Result<RunDone, RunFail> + Send + 'static {
-    let admitted = Instant::now();
-    move || {
-        // The wait between submission and this closure running *is*
-        // the queue span — the same wait the deadline budget charges.
-        let queue_ns = ns_since(admitted);
-        if chaos_panic {
-            if let Ok(mut sim) = Simulation::new(&program, kind, &cfg) {
-                let _ = sim.step_chunk(STEP_CHUNK);
-            }
-            std::panic::panic_any(KillWorker);
-        }
-        let mut budget = DeadlineBudget::new(deadline_ms);
-        let remaining = budget.charge(queue_ns / 1_000_000);
-        if budget.expired() {
-            return Err(RunFail::Deadline);
-        }
-        let compute_started = Instant::now();
-        run_with_deadline_plan(&program, kind, &cfg, remaining, plan.as_ref(), traced).map(
-            |(report, trace_events)| RunDone {
-                report,
-                queue_ns,
-                compute_ns: ns_since(compute_started),
-                trace_events,
-            },
-        )
-    }
-}
-
-/// The `sweep` op: submit every benchmark up front (filling workers and
-/// queue), then await them in roster order. The sweep's own submissions
-/// ride through Busy with seeded-jitter backoff — it is one logical
-/// request and must not shed itself, but a burst of sweeps must not
-/// hammer the queue in lockstep either — while concurrent `run`
-/// requests observe the full queue and get 429s: exactly the
-/// backpressure story.
-fn sweep(state: &Arc<State>, specs: Vec<RunSpec>, ctx: &mut RequestCtx) -> String {
-    if state.draining() {
-        return refuse(state, &ReqError::draining(), ctx);
-    }
-    enum Pending {
-        Cached(String),
-        Dispatched(u128, u64, JobHandle<Result<RunDone, RunFail>>),
-        Refused(ReqError),
-    }
-    // One intent covers the whole sweep: it is one logical request, and
-    // a restart resumes exactly the rows that were still owed (cached
-    // rows are hits again, spilled rows restart from their checkpoint).
-    // The sweep's single trace id rides in the intent.
-    let journal_started = Instant::now();
-    let intent = state.durable.as_ref().map(|d| {
-        let id = d.next_intent_id();
-        d.journal_intent(id, ctx.trace, &specs);
-        id
-    });
-    ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-    let traced = state.traced();
-    let mut pending = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        let outcome = match prepare(spec) {
-            Err(e) => Pending::Refused(e),
-            Ok((program, cfg, key)) => {
-                let cache_started = Instant::now();
-                let hit = state.cache.get(key);
-                ctx.ledger.record(Phase::Cache, ns_since(cache_started));
-                if let Some(hit) = hit {
-                    state.count("serve_cache_hits_total");
-                    Pending::Cached(hit)
-                } else {
-                    state.count("serve_cache_misses_total");
-                    let kind = spec.manager;
-                    let deadline_ms = spec.deadline_ms;
-                    let shared = Arc::new((program, cfg));
-                    let plan = match (&state.durable, intent) {
-                        (Some(d), Some(id)) => Some(SpillPlan {
-                            durability: Arc::clone(d),
-                            id,
-                            spec: spec.clone(),
-                            resume_from: None,
-                            recovery: false,
-                        }),
-                        _ => None,
-                    };
-                    // Seeded-jitter backoff: reproducible for a given
-                    // request seed, de-synchronized across benchmarks.
-                    let policy = RetryPolicy::new(1, 50);
-                    let retry_seed = spec.seed.unwrap_or(crate::protocol::DEFAULT_FAULT_SEED);
-                    let stream = powerchop_resilience::retry::stream_label(&spec.bench);
-                    let mut attempt = 0u32;
-                    loop {
-                        let shared_job = Arc::clone(&shared);
-                        let job_plan = plan.clone();
-                        let admitted = Instant::now();
-                        match state.pool.submit(move || {
-                            let queue_ns = ns_since(admitted);
-                            let mut budget = DeadlineBudget::new(deadline_ms);
-                            let remaining = budget.charge(queue_ns / 1_000_000);
-                            if budget.expired() {
-                                return Err(RunFail::Deadline);
-                            }
-                            let compute_started = Instant::now();
-                            run_with_deadline_plan(
-                                &shared_job.0,
-                                kind,
-                                &shared_job.1,
-                                remaining,
-                                job_plan.as_ref(),
-                                traced,
-                            )
-                            .map(|(report, trace_events)| RunDone {
-                                report,
-                                queue_ns,
-                                compute_ns: ns_since(compute_started),
-                                trace_events,
-                            })
-                        }) {
-                            Ok(handle) => break Pending::Dispatched(key, deadline_ms, handle),
-                            Err(SubmitError::Busy { .. }) => {
-                                attempt = attempt.saturating_add(1);
-                                state.count("serve_retries_total");
-                                std::thread::sleep(Duration::from_millis(
-                                    policy.delay_ms(retry_seed, stream, attempt),
-                                ));
-                            }
-                            Err(e) => break Pending::Refused(submit_error(e)),
-                        }
-                    }
-                }
-            }
-        };
-        pending.push(outcome);
-    }
-    let rows: Vec<(String, SweepOutcome)> = specs
-        .into_iter()
-        .zip(pending)
-        .map(|(spec, p)| {
-            let outcome = match p {
-                Pending::Cached(report) => SweepOutcome::Done {
-                    cached: true,
-                    report,
-                },
-                Pending::Refused(e) => {
-                    state.count("serve_errors_total");
-                    SweepOutcome::Failed(e)
-                }
-                Pending::Dispatched(key, deadline_ms, handle) => {
-                    match settle(state, key, deadline_ms, handle, Some(&mut *ctx)) {
-                        Ok(report) => SweepOutcome::Done {
-                            cached: false,
-                            report,
-                        },
-                        Err(e) => {
-                            state.count(match e.code {
-                                408 => "serve_deadline_expired_total",
-                                _ => "serve_errors_total",
-                            });
-                            SweepOutcome::Failed(e)
-                        }
-                    }
-                }
-            };
-            (spec.bench, outcome)
-        })
-        .collect();
-    // Every row has settled and the reply is about to reach the client:
-    // retire the intent and garbage-collect its spills.
-    let journal_started = Instant::now();
-    if let (Some(d), Some(id)) = (&state.durable, intent) {
-        d.journal_done(id);
-        d.remove_spills(id, rows.iter().map(|(bench, _)| bench.as_str()));
-        ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-    }
-    sweep_reply(ctx.trace, &rows)
-}
-
-/// Boot-time resume driver: re-dispatches every journaled intent that
-/// never got its `Done` record. Cached rows (reloaded from the cache
-/// log) are skipped outright; the rest restore from their spill
-/// checkpoints and run to completion, landing in the cache so the
-/// original requester's retry is a bit-identical hit. Observing a drain
-/// abandons the remaining intents — still journaled, they simply wait
-/// for the next boot.
-fn resume_pending(state: &Arc<State>, pending: Vec<powerchop_durable::PendingIntent>) {
-    let Some(d) = state.durable.clone() else {
-        return;
-    };
-    'intents: for intent in pending {
-        if state.draining() {
-            break;
-        }
-        let specs: Vec<RunSpec> = intent
-            .specs
-            .iter()
-            .filter_map(|rec| durability::record_to_spec(rec, state.limits.deadline_ms))
-            .collect();
-        let ledger = &d.recovery;
-        let mut resumed_rows = 0u64;
-        for spec in &specs {
-            if state.draining() {
-                break 'intents;
-            }
-            let resume_from = intent.spilled.get(&spec.bench).copied();
-            match resume_one(state, &d, intent.id, spec, resume_from) {
-                ResumeOutcome::Cached => {}
-                ResumeOutcome::Resumed => resumed_rows += 1,
-                ResumeOutcome::Abandoned => break 'intents,
-            }
-        }
-        ledger
-            .runs_resumed
-            .fetch_add(resumed_rows, Ordering::SeqCst);
-        if resumed_rows > 0 && specs.len() > 1 {
-            ledger.sweeps_resumed.fetch_add(1, Ordering::SeqCst);
-        }
-        d.journal_done(intent.id);
-        d.remove_spills(intent.id, specs.iter().map(|s| s.bench.as_str()));
-        // Crash recovery is attributable: the resumed intent still
-        // carries the trace id of the request that created it, and the
-        // access log records the resume under that same id.
-        if state.access.is_some() {
-            let mut w = JsonWriter::object();
-            w.field_u64("ts_ms", state.now_ms());
-            w.field_str("trace_id", &format_trace_id(intent.trace));
-            w.field_str("op", "resume");
-            w.field_u64("status", 200);
-            w.field_u64("runs_resumed", resumed_rows);
-            state.log_access(&w.finish());
-        }
-    }
-    d.recovery.active.store(false, Ordering::SeqCst);
-}
-
-/// How one resumed run ended, as far as the resume driver cares.
-enum ResumeOutcome {
-    /// The reply was already in the (reloaded) cache — nothing owed.
-    Cached,
-    /// The run was re-dispatched (from its spill when one existed) and
-    /// settled into the cache.
-    Resumed,
-    /// The daemon is draining or the pool is gone; stop resuming.
-    Abandoned,
-}
-
-/// Resumes one run of a pending intent. Rides through `Busy` with the
-/// same seeded-jitter backoff a sweep uses — recovery is owed work and
-/// must not shed itself — but yields to live traffic by checking the
-/// drain flag between attempts.
-fn resume_one(
-    state: &Arc<State>,
-    d: &Arc<Durability>,
-    id: u64,
-    spec: &RunSpec,
-    resume_from: Option<u64>,
-) -> ResumeOutcome {
-    let Ok((program, cfg, key)) = prepare(spec) else {
-        // The benchmark roster changed under the journal; there is
-        // nothing runnable to owe.
-        return ResumeOutcome::Cached;
-    };
-    if state.cache.get(key).is_some() {
-        return ResumeOutcome::Cached;
-    }
-    let deadline_ms = state.limits.deadline_ms;
-    let plan = SpillPlan {
-        durability: Arc::clone(d),
-        id,
-        spec: spec.clone(),
-        resume_from,
-        recovery: true,
-    };
-    let shared = Arc::new((program, cfg));
-    let kind = spec.manager;
-    let policy = RetryPolicy::new(1, 50);
-    let retry_seed = spec.seed.unwrap_or(crate::protocol::DEFAULT_FAULT_SEED);
-    let stream = powerchop_resilience::retry::stream_label(&spec.bench);
-    let mut attempt = 0u32;
-    let handle = loop {
-        if state.draining() {
-            return ResumeOutcome::Abandoned;
-        }
-        let job_plan = Some(plan.clone());
-        let shared_job = Arc::clone(&shared);
-        let admitted = Instant::now();
-        match state.pool.submit(move || {
-            let queue_ns = ns_since(admitted);
-            let compute_started = Instant::now();
-            run_with_deadline_plan(
-                &shared_job.0,
-                kind,
-                &shared_job.1,
-                deadline_ms,
-                job_plan.as_ref(),
-                false,
-            )
-            .map(|(report, trace_events)| RunDone {
-                report,
-                queue_ns,
-                compute_ns: ns_since(compute_started),
-                trace_events,
-            })
-        }) {
-            Ok(handle) => break handle,
-            Err(SubmitError::Busy { .. }) => {
-                attempt = attempt.saturating_add(1);
-                state.count("serve_retries_total");
-                std::thread::sleep(Duration::from_millis(
-                    policy.delay_ms(retry_seed, stream, attempt),
-                ));
-            }
-            Err(_) => return ResumeOutcome::Abandoned,
-        }
-    };
-    // A failed resume (sim error, deadline under the server cap) is
-    // logged by settle's counters; the intent still retires — the run
-    // was re-attempted, which is all the journal promises.
-    let _ = settle(state, key, deadline_ms, handle, None);
-    ResumeOutcome::Resumed
 }
 
 fn status_reply(state: &Arc<State>, trace: u64) -> String {
@@ -2434,6 +2352,21 @@ fn http_response(state: &Arc<State>, path: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A small hmmer run, prepared the way the daemon prepares one.
+    fn hmmer() -> Prepared {
+        let b = powerchop_workloads::by_name("hmmer").expect("hmmer exists");
+        let mut cfg = RunConfig::for_kind(b.core_kind());
+        cfg.max_instructions = 50_000;
+        let program = b.program(Scale(0.05));
+        let kind = ManagerKind::PowerChop;
+        Prepared {
+            program,
+            kind,
+            cfg,
+            key: 0,
+        }
+    }
+
     #[test]
     fn defaults_are_sane() {
         let cfg = ServerConfig::default();
@@ -2457,33 +2390,24 @@ mod tests {
 
     #[test]
     fn deadline_zero_expires_immediately_and_runs_complete_otherwise() {
-        let b = powerchop_workloads::by_name("hmmer").expect("hmmer exists");
-        let mut cfg = RunConfig::for_kind(b.core_kind());
-        cfg.max_instructions = 50_000;
-        let program = b.program(Scale(0.05));
-        match run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 0, None, false) {
-            Err(RunFail::Deadline) => {}
+        let ready = hmmer();
+        match run_until(&ready, Instant::now(), 0, None, false) {
+            Err(e) if e.code == 408 => {}
             _ => panic!("zero deadline must trip before any work"),
         }
-        let report =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, false);
-        assert!(matches!(report, Ok((r, _)) if r.instructions > 0));
+        let report = run_until(&ready, Instant::now(), 60_000, None, false);
+        assert!(matches!(report, Ok(done) if done.report.instructions > 0));
     }
 
     #[test]
     fn traced_runs_are_bit_identical_to_untraced_runs() {
-        let b = powerchop_workloads::by_name("hmmer").expect("hmmer exists");
-        let mut cfg = RunConfig::for_kind(b.core_kind());
-        cfg.max_instructions = 50_000;
-        let program = b.program(Scale(0.05));
-        let plain =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, false)
-                .map(|(r, _)| report_to_json(&r))
-                .ok();
-        let traced =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, true)
-                .map(|(r, _)| report_to_json(&r))
-                .ok();
+        let ready = hmmer();
+        let run = |traced| {
+            run_until(&ready, Instant::now(), 60_000, None, traced)
+                .map(|done| report_to_json(&done.report))
+                .ok()
+        };
+        let (plain, traced) = (run(false), run(true));
         assert!(plain.is_some(), "untraced run completes");
         assert_eq!(
             plain, traced,

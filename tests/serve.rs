@@ -329,6 +329,61 @@ fn deadline_expired_runs_reply_408_and_the_daemon_survives() {
 }
 
 #[test]
+fn queue_wait_counts_against_the_deadline() {
+    let daemon = start(ServerConfig {
+        jobs: Some(1),
+        ..test_config()
+    });
+    // The only worker is busy with a run that lasts until its own
+    // 1.5 s deadline expires.
+    let mut long = daemon.connect();
+    long.send_raw(
+        b"{\"op\":\"run\",\"bench\":\"gobmk\",\"budget\":100000000,\"scale\":1.0,\"deadline_ms\":1500}\n",
+    );
+    let mut probe = daemon.connect();
+    let picked_up = Instant::now() + Duration::from_secs(60);
+    while !probe
+        .request(r#"{"op":"status"}"#)
+        .contains("\"inflight\":1")
+    {
+        assert!(Instant::now() < picked_up, "the long run never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A short run queued behind it would finish in well under its
+    // 300 ms deadline, but waiting for the worker takes longer than
+    // that: the wait is charged, so it expires without computing.
+    let queued = probe.request(&format!(
+        r#"{{"op":"run","bench":"hmmer","budget":{BUDGET},"scale":{SCALE},"deadline_ms":300}}"#
+    ));
+    assert!(queued.contains("\"code\":408"), "reply: {queued}");
+    assert!(queued.contains("\"error\":\"deadline\""), "reply: {queued}");
+    let expired = long.read_reply();
+    assert!(expired.contains("\"code\":408"), "reply: {expired}");
+
+    // The expired run left nothing behind: the same run with the
+    // default deadline is a cold miss, and it is the only completed run.
+    let fresh = probe.request(&run_line("hmmer"));
+    assert_eq!(
+        strip_trace_id(&fresh),
+        format!(
+            r#"{{"ok":true,"op":"run","cached":false,"report":{}}}"#,
+            direct_report("hmmer")
+        )
+    );
+    let metrics = probe.request(r#"{"op":"metrics"}"#);
+    assert!(metrics.contains("serve_runs_total 1"), "reply: {metrics}");
+    assert!(
+        metrics.contains("serve_deadline_expired_total 2"),
+        "reply: {metrics}"
+    );
+
+    drop(long);
+    drop(probe);
+    daemon.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_typed_errors_and_never_kill_the_daemon() {
     let daemon = start(ServerConfig {
         max_request_bytes: 4096,
