@@ -8,7 +8,6 @@ mod compile;
 mod encoder;
 mod runtime;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc};
@@ -29,7 +28,7 @@ pub(super) enum CompileOutcome {
 }
 
 /// Outcome of a single-lookup dispatch attempt (the hot path runs one
-/// hash probe, not a residency check followed by a second probe).
+/// indexed load, not a residency check followed by a second lookup).
 pub(super) enum RunAttempt {
     /// Native code ran to completion (or faulted); here is its result.
     Ran(Result<JitRunOutcome, GisaError>),
@@ -48,7 +47,10 @@ enum Entry {
 /// by a W^X [`arena::Arena`].
 pub(super) struct NativeEngine {
     arena: arena::Arena,
-    traces: HashMap<TranslationId, Entry>,
+    /// Entries indexed by translation ID (the head PC). Grows on demand
+    /// to the highest head compiled; IDs come from the region cache,
+    /// which only holds heads inside the program.
+    traces: Vec<Option<Entry>>,
     fp_delta: i32,
     fma: bool,
 }
@@ -64,7 +66,7 @@ impl NativeEngine {
         );
         NativeEngine {
             arena: arena::Arena::new(),
-            traces: HashMap::new(),
+            traces: Vec::new(),
             fp_delta: fp_delta as i32,
             fma: std::arch::is_x86_feature_detected!("fma"),
         }
@@ -77,11 +79,23 @@ impl NativeEngine {
         mem: &mut Memory,
         core: &mut CoreModel,
     ) -> RunAttempt {
-        match self.traces.get(&id) {
+        match self.entry(id) {
             Some(Entry::Compiled(ct)) => RunAttempt::Ran(runtime::run_compiled(ct, cpu, mem, core)),
             Some(Entry::Ineligible) => RunAttempt::Ineligible,
             None => RunAttempt::Unknown,
         }
+    }
+
+    fn entry(&self, id: TranslationId) -> Option<&Entry> {
+        self.traces.get(id.0 as usize)?.as_ref()
+    }
+
+    fn insert(&mut self, id: TranslationId, entry: Entry) {
+        let index = id.0 as usize;
+        if index >= self.traces.len() {
+            self.traces.resize_with(index + 1, || None);
+        }
+        self.traces[index] = Some(entry);
     }
 
     pub(super) fn compile(
@@ -99,7 +113,7 @@ impl NativeEngine {
         match compiled {
             Some((code, entry, chunk)) => {
                 let code_bytes = code.len();
-                self.traces.insert(
+                self.insert(
                     id,
                     Entry::Compiled(runtime::CompiledTrace::new(
                         entry,
@@ -112,25 +126,27 @@ impl NativeEngine {
                 CompileOutcome::Compiled { code_bytes }
             }
             None => {
-                self.traces.insert(id, Entry::Ineligible);
+                self.insert(id, Entry::Ineligible);
                 CompileOutcome::Ineligible
             }
         }
     }
 
     pub(super) fn code_len(&self, id: TranslationId) -> Option<usize> {
-        match self.traces.get(&id)? {
+        match self.entry(id)? {
             Entry::Compiled(ct) => Some(ct.code_len()),
             Entry::Ineligible => None,
         }
     }
 
     pub(super) fn resident(&self) -> usize {
-        self.traces.len()
+        self.traces.iter().flatten().count()
     }
 
     pub(super) fn remove(&mut self, id: TranslationId) {
-        self.traces.remove(&id);
+        if let Some(entry) = self.traces.get_mut(id.0 as usize) {
+            *entry = None;
+        }
     }
 
     pub(super) fn clear(&mut self) {

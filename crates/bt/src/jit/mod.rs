@@ -18,9 +18,7 @@
 //! `--cfg powerchop_force_interp` — [`JitEngine`] compiles to a no-op and
 //! the interpreter remains the universal fallback.
 
-use std::sync::Arc;
-
-use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc};
+use powerchop_gisa::{Cpu, GisaError, Memory};
 use powerchop_uarch::core::CoreModel;
 
 use crate::region_cache::TranslationId;
@@ -139,9 +137,9 @@ impl powerchop_telemetry::MetricSource for JitReport {
     }
 }
 
-/// What one native trace execution did, in the units the dispatch loop
-/// already accounts: guest instructions executed and whether control flow
-/// left the recorded path early.
+/// What one trace execution did, native or interpreted, in the units the
+/// dispatch loop accounts: guest instructions executed and whether
+/// control flow left the recorded path early.
 #[derive(Debug, Clone, Copy)]
 pub struct JitRunOutcome {
     /// Guest instructions executed (native + helper steps), equal to the
@@ -151,10 +149,11 @@ pub struct JitRunOutcome {
     pub side_exit: bool,
 }
 
-/// The per-machine JIT: a code cache keyed by [`TranslationId`] plus the
-/// counters above. Cloning yields a *cold* engine (same mode and counters,
-/// no compiled code) — native code is derived state, recompiled on demand,
-/// and is never snapshotted.
+/// The per-machine JIT: a code cache indexed by [`TranslationId`] (the
+/// head PC, like the region cache) plus the counters above. Cloning
+/// yields a *cold* engine (same mode and counters, no compiled code) —
+/// native code is derived state, recompiled on demand, and is never
+/// snapshotted.
 pub struct JitEngine {
     mode: JitMode,
     stats: JitStats,
@@ -223,11 +222,12 @@ impl JitEngine {
         if !self.is_active() {
             return;
         }
-        self.compile(t.id(), &t.trace_arc(), &t.insts_arc());
+        self.compile(t);
     }
 
-    fn compile(&mut self, id: TranslationId, trace: &Arc<[Pc]>, insts: &Arc<[Inst]>) -> bool {
-        match self.native.compile(id, trace, insts) {
+    fn compile(&mut self, t: &Translation) -> bool {
+        let (trace, insts) = t.shared();
+        match self.native.compile(t.id(), trace, insts) {
             backend::CompileOutcome::Compiled { code_bytes } => {
                 self.stats.translations_compiled += 1;
                 self.stats.code_bytes += code_bytes as u64;
@@ -248,14 +248,12 @@ impl JitEngine {
         self.native.clear();
     }
 
-    /// Dispatch hook: runs `id` natively if possible, compiling on demand
+    /// Dispatch hook: runs `t` natively if possible, compiling on demand
     /// (covers checkpoint restore and cloned machines). Returns `None`
     /// when the caller must fall back to the interpreter loop.
     pub(crate) fn execute(
         &mut self,
-        id: TranslationId,
-        trace: &Arc<[Pc]>,
-        insts: &Arc<[Inst]>,
+        t: &Translation,
         cpu: &mut Cpu,
         mem: &mut Memory,
         core: &mut CoreModel,
@@ -263,6 +261,7 @@ impl JitEngine {
         if !self.is_active() {
             return None;
         }
+        let id = t.id();
         match self.native.try_run(id, cpu, mem, core) {
             backend::RunAttempt::Ran(res) => {
                 self.stats.exec_hits += 1;
@@ -275,7 +274,7 @@ impl JitEngine {
             backend::RunAttempt::Unknown => {
                 // Compile on demand: covers checkpoint restore and cloned
                 // machines, whose code caches start cold.
-                if !self.compile(id, trace, insts) {
+                if !self.compile(t) {
                     self.stats.fallbacks += 1;
                     return None;
                 }

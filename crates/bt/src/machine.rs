@@ -1,7 +1,7 @@
-use powerchop_gisa::{Cpu, GisaError, Memory, Program};
+use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc, Program};
 use powerchop_uarch::core::{CoreModel, ExecMode};
 
-use crate::jit::{JitEngine, JitMode, JitReport, JitStats};
+use crate::jit::{JitEngine, JitMode, JitReport, JitRunOutcome, JitStats};
 use crate::region_cache::{RegionCache, TranslationId};
 use crate::translator;
 
@@ -129,11 +129,6 @@ pub struct Machine<'p> {
     /// Per-branch (taken, total) counts collected by the interpreter,
     /// directly indexed by PC like `hotness`.
     branch_bias: Vec<(u32, u32)>,
-    /// One bit per PC: whether the region cache holds a translation with
-    /// that head. Lets the dispatch loop skip the region-cache hash
-    /// lookup for the (overwhelmingly common) cold PCs; kept in lock
-    /// step with every region-cache mutation.
-    translated: Vec<bool>,
     config: BtConfig,
     at_block_head: bool,
     stats: BtStats,
@@ -157,10 +152,9 @@ impl<'p> Machine<'p> {
             program,
             cpu: Cpu::new(program),
             mem,
-            region_cache: RegionCache::new(config.region_cache_capacity),
+            region_cache: RegionCache::new(config.region_cache_capacity, program.len()),
             hotness: vec![0; program.len()],
             branch_bias: vec![(0, 0); program.len()],
-            translated: vec![false; program.len()],
             config,
             at_block_head: true,
             stats: BtStats::default(),
@@ -247,36 +241,40 @@ impl<'p> Machine<'p> {
         }
 
         let pc = self.cpu.pc();
-        // The presence bitmap makes the translated/cold decision a flat
-        // load; only PCs that really head a translation pay the region
-        // cache's hash lookup.
-        if self.translated.get(pc.0 as usize).copied().unwrap_or(false) {
-            let head_id = TranslationId(pc.0);
-            if let Some(translation) = self.region_cache.get(head_id) {
-                // Translations are immutable and Arc-backed: dispatching
-                // is a refcount bump, not a trace copy.
-                let trace = translation.trace_arc();
-                let insts = translation.insts_arc();
-                if let Some(outcome) =
-                    self.jit
-                        .execute(head_id, &trace, &insts, &mut self.cpu, &mut self.mem, core)
-                {
-                    // Propagate guest faults before touching stats — the
-                    // interpreter loop's `?` has the same ordering.
-                    let outcome = outcome?;
-                    self.stats.translation_executions += 1;
-                    self.stats.translated_instructions += outcome.executed;
-                    if outcome.side_exit {
-                        self.stats.side_exits += 1;
-                    }
-                    self.at_block_head = true;
-                    return Ok(MachineEvent::Translation {
-                        id: head_id,
-                        instructions: outcome.executed,
-                    });
-                }
-                return self.execute_translation(head_id, &trace, &insts, core);
+        // The region cache is indexed by head PC, so the translated/cold
+        // decision is one indexed load. The trace and its decoded
+        // instructions are borrowed in place — the CPU, memory and JIT
+        // are disjoint fields — so a dispatch costs no refcount traffic.
+        let head_id = TranslationId(pc.0);
+        if let Some(translation) = self.region_cache.get(head_id) {
+            // Guest faults propagate before stats are touched, on the
+            // native and the interpreted path alike.
+            let outcome = match self
+                .jit
+                .execute(translation, &mut self.cpu, &mut self.mem, core)
+            {
+                Some(native) => native?,
+                None => run_trace(
+                    self.program,
+                    translation.trace(),
+                    translation.insts(),
+                    &mut self.cpu,
+                    &mut self.mem,
+                    core,
+                )?,
+            };
+            self.stats.translation_executions += 1;
+            self.stats.translated_instructions += outcome.executed;
+            if outcome.side_exit {
+                self.stats.side_exits += 1;
             }
+            // A translation exit is a dispatch point: the next PC is a
+            // block head for hotness purposes.
+            self.at_block_head = true;
+            return Ok(MachineEvent::Translation {
+                id: head_id,
+                instructions: outcome.executed,
+            });
         }
 
         // Slow path: interpret, counting hotness at block heads.
@@ -339,63 +337,13 @@ impl<'p> Machine<'p> {
         Ok(MachineEvent::Interpreted)
     }
 
-    /// Installs a translation and keeps the presence bitmap in lock step
-    /// with the region cache (including the eviction it may cause).
+    /// Installs a translation, dropping the native code of any
+    /// translation its install evicts.
     fn install_translation(&mut self, t: translator::Translation) {
-        let id = t.id();
         self.jit.on_install(&t);
         if let Some(victim) = self.region_cache.install(t) {
-            if let Some(bit) = self.translated.get_mut(victim.0 as usize) {
-                *bit = false;
-            }
             self.jit.remove(victim);
         }
-        if let Some(bit) = self.translated.get_mut(id.0 as usize) {
-            *bit = true;
-        }
-    }
-
-    /// Executes a translation's trace. `insts` is the decoded-instruction
-    /// cache (trace-length when hydrated, empty right after a restore, in
-    /// which case each step falls back to fetching).
-    fn execute_translation(
-        &mut self,
-        id: TranslationId,
-        trace: &[powerchop_gisa::Pc],
-        insts: &[powerchop_gisa::Inst],
-        core: &mut CoreModel,
-    ) -> Result<MachineEvent, GisaError> {
-        let mut executed = 0u64;
-        let mut side_exit = false;
-        let decoded = insts.len() == trace.len();
-        for (i, expected) in trace.iter().enumerate() {
-            if self.cpu.pc() != *expected {
-                side_exit = true;
-                break;
-            }
-            let info = if decoded {
-                self.cpu.step_prefetched(insts[i], &mut self.mem)?
-            } else {
-                self.cpu.step(self.program, &mut self.mem)?
-            };
-            core.on_step(&info, ExecMode::Translated);
-            executed += 1;
-            if self.cpu.halted() {
-                break;
-            }
-        }
-        self.stats.translation_executions += 1;
-        self.stats.translated_instructions += executed;
-        if side_exit {
-            self.stats.side_exits += 1;
-        }
-        // A translation exit is a dispatch point: the next PC is a block
-        // head for hotness purposes.
-        self.at_block_head = true;
-        Ok(MachineEvent::Translation {
-            id,
-            instructions: executed,
-        })
     }
 
     /// Serializes the complete machine state: guest CPU and memory, the
@@ -403,8 +351,7 @@ impl<'p> Machine<'p> {
     /// branch-bias history, encoded as nonzero entries in PC order), and
     /// BT statistics. The program itself is not serialized — only its
     /// fingerprint, which restore verifies. The decoded-instruction
-    /// caches and the head-presence bitmap are derived state and are
-    /// rebuilt on restore.
+    /// caches are derived state and are rebuilt on restore.
     pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
         w.put_u64(self.program.fingerprint());
         self.cpu.snapshot_to(w);
@@ -474,19 +421,11 @@ impl<'p> Machine<'p> {
         self.mem.restore_from(r)?;
         self.region_cache.restore_from(r)?;
         // Snapshots carry trace PCs but not decoded instructions; rebuild
-        // the decode cache and the head-presence bitmap from the restored
-        // region cache.
+        // the decode cache from the restored region cache.
         self.region_cache.rehydrate(self.program);
         // Native code is never snapshotted; drop any compiled traces and
         // let the restored translations recompile on demand.
         self.jit.clear();
-        self.translated.fill(false);
-        let heads: Vec<u32> = self.region_cache.iter().map(|t| t.id().0).collect();
-        for head in heads {
-            if let Some(bit) = self.translated.get_mut(head as usize) {
-                *bit = true;
-            }
-        }
         let hot_count = r.take_usize()?;
         self.hotness.fill(0);
         for _ in 0..hot_count {
@@ -541,9 +480,6 @@ impl<'p> Machine<'p> {
         self.region_cache
             .invalidate_fraction_into(fraction, selector, &mut dropped);
         for id in &dropped {
-            if let Some(bit) = self.translated.get_mut(id.0 as usize) {
-                *bit = false;
-            }
             self.jit.remove(*id);
         }
         self.stats.invalidated_translations += dropped.len() as u64;
@@ -566,6 +502,42 @@ impl<'p> Machine<'p> {
         }
         Ok(())
     }
+}
+
+/// Runs a translation's trace through the interpreter step. `insts` is
+/// the decoded-instruction cache (trace-length when hydrated, empty right
+/// after a restore, in which case each step falls back to fetching).
+fn run_trace(
+    program: &Program,
+    trace: &[Pc],
+    insts: &[Inst],
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    core: &mut CoreModel,
+) -> Result<JitRunOutcome, GisaError> {
+    let mut executed = 0u64;
+    let mut side_exit = false;
+    let decoded = insts.len() == trace.len();
+    for (i, expected) in trace.iter().enumerate() {
+        if cpu.pc() != *expected {
+            side_exit = true;
+            break;
+        }
+        let info = if decoded {
+            cpu.step_prefetched(insts[i], mem)?
+        } else {
+            cpu.step(program, mem)?
+        };
+        core.on_step(&info, ExecMode::Translated);
+        executed += 1;
+        if cpu.halted() {
+            break;
+        }
+    }
+    Ok(JitRunOutcome {
+        executed,
+        side_exit,
+    })
 }
 
 #[cfg(test)]
@@ -802,6 +774,27 @@ mod tests {
             "dropped regions must re-heat and retranslate"
         );
         assert_eq!(m.cpu().int_reg(r(0)), 20_000);
+    }
+
+    #[test]
+    fn restore_rejects_a_head_past_the_end_of_the_program() {
+        let p = loop_program(10);
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        w.put_u64(p.fingerprint());
+        Cpu::new(&p).snapshot_to(&mut w);
+        Memory::new().snapshot_to(&mut w);
+        // A region cache naming one translation, headed past the end.
+        w.put_usize(1);
+        w.put_u32(p.len() as u32);
+        w.put_u32(p.len() as u32);
+        w.put_usize(0);
+        w.put_bool(false);
+        let bytes = w.into_bytes();
+        let mut m = Machine::new(&p, BtConfig::default());
+        assert!(matches!(
+            m.restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes)),
+            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! the region cache without paying interpretation costs (paper §II-A). The
 //! cache is keyed by translation ID — the low 32 bits of the head PC,
 //! which the paper notes is unique because the region cache is far smaller
-//! than 2³² (paper §IV-B2).
-
-use std::collections::HashMap;
+//! than 2³² (paper §IV-B2). Guest PCs index the program, so the cache is a
+//! table with one slot per program instruction: a dispatch is one indexed
+//! load, not a hash probe.
 
 use crate::translator::Translation;
 
@@ -28,22 +28,26 @@ impl std::fmt::Display for TranslationId {
 /// defined).
 #[derive(Debug, Clone)]
 pub struct RegionCache {
-    translations: HashMap<TranslationId, Translation>,
+    /// Resident translations indexed by head PC; `None` where no
+    /// resident translation starts. One slot per program instruction.
+    slots: Vec<Option<Translation>>,
+    /// Resident IDs, oldest install first: drives FIFO eviction and the
+    /// snapshot order. Holds exactly the occupied slots.
     install_order: Vec<TranslationId>,
     capacity: usize,
 }
 
 impl RegionCache {
     /// Creates an empty region cache holding at most `capacity`
-    /// translations. A zero capacity is clamped to one: the translation
-    /// layer must stay panic-free under any configuration, and a
-    /// one-entry cache is the nearest well-defined neighbour of a
-    /// degenerate request.
+    /// translations of a program `program_len` instructions long. A zero
+    /// capacity is clamped to one: the translation layer must stay
+    /// panic-free under any configuration, and a one-entry cache is the
+    /// nearest well-defined neighbour of a degenerate request.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, program_len: usize) -> Self {
         let capacity = capacity.max(1);
         RegionCache {
-            translations: HashMap::new(),
+            slots: vec![None; program_len],
             install_order: Vec::new(),
             capacity,
         }
@@ -52,51 +56,63 @@ impl RegionCache {
     /// Number of resident translations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.translations.len()
+        self.install_order.len()
     }
 
     /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.translations.is_empty()
+        self.install_order.is_empty()
     }
 
     /// Looks up the translation with head PC `id`.
+    #[inline]
     #[must_use]
     pub fn get(&self, id: TranslationId) -> Option<&Translation> {
-        self.translations.get(&id)
+        self.slots.get(id.0 as usize)?.as_ref()
     }
 
     /// Installs a translation, evicting the oldest if at capacity.
-    /// Returns the evicted translation's ID, if any.
+    /// Returns the evicted translation's ID, if any. A translation whose
+    /// head lies outside the program could never be dispatched and is
+    /// not installed (the translator never builds one).
     pub fn install(&mut self, translation: Translation) -> Option<TranslationId> {
         let id = translation.id();
-        if let std::collections::hash_map::Entry::Occupied(mut e) = self.translations.entry(id) {
-            e.insert(translation);
+        let slot = self.slots.get_mut(id.0 as usize)?;
+        if slot.replace(translation).is_some() {
+            // Reinstalling a resident head replaces it in place.
             return None;
         }
         let mut evicted = None;
-        if self.translations.len() == self.capacity {
+        if self.install_order.len() == self.capacity {
             let victim = self.install_order.remove(0);
-            self.translations.remove(&victim);
+            self.vacate(victim);
             evicted = Some(victim);
         }
         self.install_order.push(id);
-        self.translations.insert(id, translation);
         evicted
     }
 
-    /// Iterates over resident translations in unspecified order.
+    /// Empties `id`'s slot.
+    fn vacate(&mut self, id: TranslationId) {
+        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            *slot = None;
+        }
+    }
+
+    /// Iterates over resident translations in install order.
     pub fn iter(&self) -> impl Iterator<Item = &Translation> {
-        self.translations.values()
+        self.install_order.iter().filter_map(|id| self.get(*id))
     }
 
     /// Rebuilds every resident translation's decoded-instruction cache
     /// from `program`. Called after a snapshot restore, which carries
     /// trace PCs but not decoded instructions.
     pub fn rehydrate(&mut self, program: &powerchop_gisa::Program) {
-        for t in self.translations.values_mut() {
-            t.rehydrate(program);
+        for id in &self.install_order {
+            if let Some(Some(t)) = self.slots.get_mut(id.0 as usize) {
+                t.rehydrate(program);
+            }
         }
     }
 
@@ -137,14 +153,15 @@ impl RegionCache {
             }
         });
         for id in dropped.iter() {
-            self.translations.remove(id);
+            self.vacate(*id);
         }
     }
 
     /// Drops every resident translation.
     pub fn clear(&mut self) {
-        self.translations.clear();
-        self.install_order.clear();
+        for id in std::mem::take(&mut self.install_order) {
+            self.vacate(id);
+        }
     }
 
     /// Serializes the cache contents in install order (the order is
@@ -154,9 +171,9 @@ impl RegionCache {
     pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
         w.put_usize(self.install_order.len());
         for id in &self.install_order {
-            match self.translations.get(id) {
+            match self.get(*id) {
                 Some(t) => t.snapshot_to(w),
-                // install_order and translations are kept in lock step;
+                // install_order and the slots are kept in lock step;
                 // encode a missing body defensively as an empty trace.
                 None => Translation::empty_for(*id).snapshot_to(w),
             }
@@ -168,8 +185,9 @@ impl RegionCache {
     /// # Errors
     ///
     /// Returns a [`powerchop_checkpoint::CheckpointError`] when the
-    /// payload is truncated or holds more translations than this cache's
-    /// configured capacity.
+    /// payload is truncated, holds more translations than this cache's
+    /// configured capacity, names a head PC outside the program, or
+    /// names one head twice.
     pub fn restore_from(
         &mut self,
         r: &mut powerchop_checkpoint::ByteReader<'_>,
@@ -180,12 +198,22 @@ impl RegionCache {
                 what: "region cache resident count exceeds capacity",
             });
         }
-        self.translations.clear();
-        self.install_order.clear();
+        self.clear();
         for _ in 0..count {
             let t = Translation::restore_from(r)?;
-            self.install_order.push(t.id());
-            self.translations.insert(t.id(), t);
+            let id = t.id();
+            let Some(slot) = self.slots.get_mut(id.0 as usize) else {
+                return Err(powerchop_checkpoint::CheckpointError::Malformed {
+                    what: "region cache translation head lies outside the program",
+                });
+            };
+            if slot.is_some() {
+                return Err(powerchop_checkpoint::CheckpointError::Malformed {
+                    what: "region cache holds one head twice",
+                });
+            }
+            *slot = Some(t);
+            self.install_order.push(id);
         }
         Ok(())
     }
@@ -209,7 +237,7 @@ mod tests {
     #[test]
     fn install_then_get() {
         let p = program_with_nops(4);
-        let mut rc = RegionCache::new(8);
+        let mut rc = RegionCache::new(8, p.len());
         let t = translate(&p, Pc(0), 16).unwrap();
         assert!(rc.install(t).is_none());
         assert_eq!(rc.len(), 1);
@@ -220,7 +248,7 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest() {
         let p = program_with_nops(10);
-        let mut rc = RegionCache::new(2);
+        let mut rc = RegionCache::new(2, p.len());
         rc.install(translate(&p, Pc(0), 1).unwrap());
         rc.install(translate(&p, Pc(1), 1).unwrap());
         let evicted = rc.install(translate(&p, Pc(2), 1).unwrap());
@@ -233,7 +261,7 @@ mod tests {
     #[test]
     fn reinstall_replaces_without_eviction() {
         let p = program_with_nops(4);
-        let mut rc = RegionCache::new(1);
+        let mut rc = RegionCache::new(1, p.len());
         rc.install(translate(&p, Pc(0), 2).unwrap());
         let evicted = rc.install(translate(&p, Pc(0), 3).unwrap());
         assert!(evicted.is_none());
@@ -243,7 +271,7 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one_entry() {
         let p = program_with_nops(10);
-        let mut rc = RegionCache::new(0);
+        let mut rc = RegionCache::new(0, p.len());
         rc.install(translate(&p, Pc(0), 1).unwrap());
         assert_eq!(rc.len(), 1);
         let evicted = rc.install(translate(&p, Pc(1), 1).unwrap());
@@ -255,7 +283,7 @@ mod tests {
     fn invalidate_fraction_is_deterministic_and_bounded() {
         let p = program_with_nops(64);
         let build = || {
-            let mut rc = RegionCache::new(128);
+            let mut rc = RegionCache::new(128, p.len());
             for pc in 0..60 {
                 rc.install(translate(&p, Pc(pc), 1).unwrap());
             }
@@ -283,13 +311,64 @@ mod tests {
     #[test]
     fn clear_empties_the_cache() {
         let p = program_with_nops(8);
-        let mut rc = RegionCache::new(8);
+        let mut rc = RegionCache::new(8, p.len());
         rc.install(translate(&p, Pc(0), 2).unwrap());
         rc.clear();
         assert!(rc.is_empty());
         // Reinstall after clear works from a clean slate.
         rc.install(translate(&p, Pc(0), 2).unwrap());
         assert_eq!(rc.len(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_heads_outside_the_program_and_duplicates() {
+        let p = program_with_nops(64);
+        let mut rc = RegionCache::new(8, p.len());
+        rc.install(translate(&p, Pc(40), 2).unwrap());
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        rc.snapshot_to(&mut w);
+        let bytes = w.into_bytes();
+        // The same cache restores its own snapshot...
+        let mut same = RegionCache::new(8, p.len());
+        assert!(same
+            .restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes))
+            .is_ok());
+        assert!(same.get(TranslationId(40)).is_some());
+        // ...but head 40 lies past the end of a 16-instruction program.
+        let mut short = RegionCache::new(8, 16);
+        assert!(matches!(
+            short.restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes)),
+            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+        ));
+        // A huge head is refused without sizing anything by it.
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        w.put_usize(2);
+        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
+        Translation::empty_for(TranslationId(u32::MAX)).snapshot_to(&mut w);
+        let wild = w.into_bytes();
+        assert!(matches!(
+            same.restore_from(&mut powerchop_checkpoint::ByteReader::new(&wild)),
+            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+        ));
+        // One head named twice is malformed too.
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        w.put_usize(2);
+        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
+        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
+        let twice = w.into_bytes();
+        assert!(matches!(
+            same.restore_from(&mut powerchop_checkpoint::ByteReader::new(&twice)),
+            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn heads_outside_the_program_are_never_installed() {
+        let p = program_with_nops(8);
+        let mut rc = RegionCache::new(4, 4);
+        assert!(rc.install(translate(&p, Pc(6), 1).unwrap()).is_none());
+        assert!(rc.is_empty());
+        assert!(rc.get(TranslationId(6)).is_none());
     }
 
     #[test]

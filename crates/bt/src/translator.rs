@@ -16,9 +16,10 @@ use crate::region_cache::TranslationId;
 
 /// An optimized host-ISA trace of a guest code region.
 ///
-/// The trace (and its decoded-instruction cache) live behind `Arc` so the
-/// machine can dispatch a translation with a reference-count bump instead
-/// of copying the trace out of the region cache on every execution.
+/// The machine dispatches a translation by borrowing its trace and
+/// decoded instructions in place in the region cache. Both live behind
+/// `Arc` so the JIT's compiled code can share them: the helper that
+/// native code calls reads them after the region cache has moved on.
 #[derive(Debug, Clone)]
 pub struct Translation {
     id: TranslationId,
@@ -62,18 +63,18 @@ impl Translation {
         &self.trace
     }
 
-    /// A shared handle to the trace, for dispatch without copying.
+    /// The decoded instruction of each trace PC. Empty (rather than
+    /// trace-length) when the translation has not been hydrated against
+    /// its program, e.g. straight after a snapshot restore.
     #[must_use]
-    pub fn trace_arc(&self) -> std::sync::Arc<[Pc]> {
-        std::sync::Arc::clone(&self.trace)
+    pub fn insts(&self) -> &[Inst] {
+        &self.insts
     }
 
-    /// A shared handle to the decoded-instruction cache. Empty (rather
-    /// than trace-length) when the translation has not been hydrated
-    /// against its program, e.g. straight after a snapshot restore.
-    #[must_use]
-    pub fn insts_arc(&self) -> std::sync::Arc<[Inst]> {
-        std::sync::Arc::clone(&self.insts)
+    /// The shared trace and decoded instructions, for the JIT to keep
+    /// alongside the code it compiles from them.
+    pub(crate) fn shared(&self) -> (&std::sync::Arc<[Pc]>, &std::sync::Arc<[Inst]>) {
+        (&self.trace, &self.insts)
     }
 
     /// Rebuilds the decoded-instruction cache from `program`. Leaves the

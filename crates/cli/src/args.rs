@@ -497,7 +497,8 @@ OPTIONS (serve):
                            then the number of CPUs]
     --queue-depth <N>      waiting jobs before busy replies    [default: 16]
     --cache-entries <N>    LRU result-cache size (0 disables)  [default: 64]
-    --deadline-ms <N>      per-request deadline (0 disables)   [default: 120000]
+    --deadline-ms <N>      per-request deadline; 0 expires every uncached run
+                           [default: 120000]
     --max-request-bytes <N> largest accepted request line      [default: 1048576]
     --max-budget <N>       largest accepted instruction budget [default: 1000000000]
     --max-connections <N>  concurrent connections before typed 503 shedding

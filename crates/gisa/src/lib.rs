@@ -16,7 +16,9 @@
 //! - [`Program`] and [`ProgramBuilder`] — an assembler-style builder with
 //!   labels, used by `powerchop-workloads` to write benchmarks,
 //! - [`Cpu`] — architectural state plus single-step semantics ([`Cpu::step`]),
-//! - [`Memory`] — a sparse, paged 64-bit memory.
+//! - [`Memory`] — a sparse, paged 64-bit memory,
+//! - [`MulShiftHasher`] — the workspace's one fast hasher for maps keyed
+//!   by small integers (guest page numbers, translation IDs).
 //!
 //! # Examples
 //!
@@ -58,6 +60,6 @@ mod reg;
 pub use cpu::{BranchOutcome, Cpu, MemAccess, StepInfo};
 pub use error::GisaError;
 pub use inst::{Cond, Inst, InstClass, VLEN};
-pub use mem::Memory;
+pub use mem::{Memory, MulShiftBuildHasher, MulShiftHasher};
 pub use program::{Label, Pc, Program, ProgramBuilder};
 pub use reg::{FReg, Reg, VReg};

@@ -5,22 +5,31 @@ const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// A multiply-shift hasher for page numbers. Every guest load and store
-/// hits the page map, and the default SipHash dominates that path; page
-/// numbers are already well-distributed small integers, so a single
-/// Fibonacci multiply mixes plenty. Not DoS-resistant — irrelevant for a
-/// simulator hashing its own address space. Snapshot encoding stays
-/// deterministic because pages are serialized in sorted order, never in
-/// map order.
-#[derive(Debug, Default)]
-pub(crate) struct PageHasher(u64);
+/// A multiply-shift hasher for small integer keys. Every guest load and
+/// store hits the page map, and every translation dispatch hits the
+/// HTB's map; the default SipHash dominates both paths. Page numbers and
+/// translation IDs are already well-distributed small integers, so a
+/// single Fibonacci multiply mixes plenty. Not DoS-resistant — irrelevant
+/// for a simulator hashing its own address space. Maps keyed with it
+/// must never let iteration order reach an output: the page map and the
+/// HTB both sort before they serialize or rank.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MulShiftHasher(u64);
 
-impl Hasher for PageHasher {
+/// The [`std::hash::BuildHasher`] for [`MulShiftHasher`]-keyed maps.
+pub type MulShiftBuildHasher = BuildHasherDefault<MulShiftHasher>;
+
+impl Hasher for MulShiftHasher {
     fn write(&mut self, bytes: &[u8]) {
-        // Only u64 page numbers are ever hashed, via write_u64.
+        // Integer keys arrive via write_u32/write_u64; this byte loop
+        // only keeps other key types correct.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -33,7 +42,7 @@ impl Hasher for PageHasher {
     }
 }
 
-type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, MulShiftBuildHasher>;
 
 /// A sparse, paged, byte-addressable 64-bit memory.
 ///

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use powerchop_bt::TranslationId;
+use powerchop_gisa::MulShiftBuildHasher;
 
 use crate::phase::PhaseSignature;
 
@@ -38,7 +39,10 @@ pub const HTB_ENTRIES: usize = 128;
 #[derive(Debug, Clone)]
 pub struct HotTranslationBuffer {
     /// Per-translation (executions, dynamic instructions) this window.
-    counts: HashMap<TranslationId, (u64, u64)>,
+    /// `record` probes it on every translation dispatch, so it uses the
+    /// multiply-shift hasher, not SipHash; every reader sorts, so map
+    /// order never reaches a signature or a snapshot.
+    counts: HashMap<TranslationId, (u64, u64), MulShiftBuildHasher>,
     capacity: usize,
     signature_len: usize,
     overflowed: u64,
@@ -55,7 +59,7 @@ impl HotTranslationBuffer {
         let capacity = capacity.max(1);
         let signature_len = signature_len.max(1);
         HotTranslationBuffer {
-            counts: HashMap::with_capacity(capacity),
+            counts: HashMap::with_capacity_and_hasher(capacity, MulShiftBuildHasher::default()),
             capacity,
             signature_len,
             overflowed: 0,

@@ -2033,9 +2033,9 @@ struct RunDone {
 ///
 /// The optional [`SpillPlan`] adds the durability hooks: it restores
 /// the simulation from its spill checkpoint (resume path) and spills a
-/// fresh snapshot every `spill_every` retired instructions, journaling
-/// each spill *after* its file is durably in place — the journal never
-/// promises a checkpoint that is not on disk.
+/// fresh snapshot every `spill_every` retired instructions while the run
+/// is unfinished, journaling each spill *after* its file is durably in
+/// place — the journal never promises a checkpoint that is not on disk.
 /// With `traced` set an enabled [`Tracer`] is attached to the run via
 /// [`Simulation::attach_tracer`], so the flight recorder captures the
 /// run's phase spans; tracing never changes simulated state, so traced
@@ -2069,7 +2069,9 @@ fn run_until(
         }
         sim.step_chunk(STEP_CHUNK)
             .map_err(|e| ReqError::internal(e.to_string()))?;
-        if let Some(plan) = plan {
+        // A run the chunk just finished is retired moments from now, and
+        // its spill with it: checkpoint only work still in progress.
+        if let (Some(plan), false) = (plan, sim.is_done()) {
             if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
                 spill_now(&mut sim, plan);
                 last_spill = sim.retired();

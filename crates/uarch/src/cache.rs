@@ -126,19 +126,24 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Low-retention-voltage state (drowsy caches, Flautner et al.): data
-    /// is retained but the line must be woken before it can be read.
-    drowsy: bool,
-    lru: u64,
-}
+/// A line's tag word: the tag (`addr >> line_shift`) in the low bits and
+/// the state flags in the top three. Lines are at least 8 bytes, so a
+/// tag never reaches bit 61. An invalid line's word is all zeros.
+const VALID: u64 = 1 << 63;
+const DIRTY: u64 = 1 << 62;
+/// Low-retention-voltage state (drowsy caches, Flautner et al.): data is
+/// retained but the line must be woken before it can be read.
+const DROWSY: u64 = 1 << 61;
+const FLAGS: u64 = VALID | DIRTY | DROWSY;
+/// Line-offset bits needed to leave the flag bits free (8-byte lines).
+const MIN_LINE_SHIFT: u32 = 3;
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement
 /// and run-time way deactivation.
+///
+/// Each line is a packed tag word (tag plus valid/dirty/drowsy flags)
+/// and an LRU tick, kept in two flat arrays allocated zeroed, so an
+/// access finds its hit or picks its victim in one scan of the set.
 ///
 /// # Examples
 ///
@@ -153,7 +158,11 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    lines: Vec<Line>,
+    /// Tag words, `ways` per set, set-major.
+    tags: Vec<u64>,
+    /// LRU ticks, parallel to `tags`: the access tick of the line's last
+    /// touch (zero for an invalid line).
+    ticks: Vec<u64>,
     num_sets: usize,
     ways: usize,
     active_ways: usize,
@@ -172,26 +181,38 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or ways), which
+    /// Panics if the geometry is degenerate (zero sets or ways, a set
+    /// count that is not a power of two, or lines under 8 bytes), which
     /// would indicate a config bug.
     #[must_use]
     pub fn new(cfg: &CacheConfig) -> Self {
-        let num_sets = cfg.sets() as usize;
-        let ways = cfg.ways as usize;
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        assert!(
+            line_shift >= MIN_LINE_SHIFT,
+            "degenerate cache geometry {cfg:?}: lines under 8 B"
+        );
+        let (num_sets, ways) = (cfg.sets() as usize, cfg.ways as usize);
         assert!(
             num_sets > 0 && ways > 0,
             "degenerate cache geometry {cfg:?}"
         );
+        Cache::with_geometry(num_sets, ways, line_shift)
+    }
+
+    /// An empty cache of `num_sets` sets of `ways` lines, each
+    /// `1 << line_shift` bytes.
+    fn with_geometry(num_sets: usize, ways: usize, line_shift: u32) -> Self {
         assert!(
             num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
         Cache {
-            lines: vec![Line::default(); num_sets * ways],
+            tags: vec![0; num_sets * ways],
+            ticks: vec![0; num_sets * ways],
             num_sets,
             ways,
             active_ways: ways,
-            line_shift: cfg.line_bytes.trailing_zeros(),
+            line_shift,
             set_mask: num_sets - 1,
             tick: 0,
             awake_valid: 0,
@@ -245,54 +266,55 @@ impl Cache {
         self.stats.accesses += 1;
         let tag = addr >> self.line_shift;
         let range = self.set_range(addr);
+        let tags = &mut self.tags[range.clone()];
+        let ticks = &mut self.ticks[range];
 
-        // Hit path.
-        if let Some(line) = self.lines[range.clone()]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            line.lru = self.tick;
-            line.dirty |= is_store;
-            let woke_drowsy = line.drowsy;
-            if woke_drowsy {
-                line.drowsy = false;
-                self.awake_valid += 1;
+        // One scan: stop at a hit, else remember the victim — the first
+        // invalid way in way order, else the least recently used (an
+        // invalid way ranks as tick 0, and ties keep the earliest way).
+        // At least one way is always active (way-gating floors at one),
+        // so the victim index is always in the set.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (way, (word, last)) in tags.iter_mut().zip(ticks.iter_mut()).enumerate() {
+            if *word & !(DIRTY | DROWSY) == VALID | tag {
+                *last = self.tick;
+                if is_store {
+                    *word |= DIRTY;
+                }
+                let woke_drowsy = *word & DROWSY != 0;
+                if woke_drowsy {
+                    *word &= !DROWSY;
+                    self.awake_valid += 1;
+                }
+                self.stats.hits += 1;
+                return AccessOutcome {
+                    hit: true,
+                    writeback: false,
+                    woke_drowsy,
+                };
             }
-            self.stats.hits += 1;
-            return AccessOutcome {
-                hit: true,
-                writeback: false,
-                woke_drowsy,
-            };
+            let age = if *word & VALID != 0 { *last } else { 0 };
+            if age < oldest {
+                oldest = age;
+                victim = way;
+            }
         }
 
-        // Miss: allocate into the LRU (or first invalid) active way.
-        // At least one way is always active (way-gating floors at one),
-        // so the fold finds a victim; the `range.start` fallback keeps
-        // this total without a panicking branch.
-        let victim = self.lines[range.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-            .map_or(range.start, |(i, _)| range.start + i);
-        let line = &mut self.lines[victim];
-        let writeback = line.valid && line.dirty;
+        // Miss: allocate into the victim way.
+        let old = tags[victim];
+        let writeback = old & (VALID | DIRTY) == VALID | DIRTY;
         if writeback {
             self.stats.writebacks += 1;
         }
-        if !line.valid {
+        if old & VALID == 0 {
             self.valid += 1;
             self.awake_valid += 1;
-        } else if line.drowsy {
+        } else if old & DROWSY != 0 {
             self.awake_valid += 1; // replaced by a freshly-awake line
         }
-        *line = Line {
-            tag,
-            valid: true,
-            dirty: is_store,
-            drowsy: false,
-            lru: self.tick,
-        };
+        tags[victim] = VALID | tag | if is_store { DIRTY } else { 0 };
+        ticks[victim] = self.tick;
         AccessOutcome {
             hit: false,
             writeback,
@@ -304,9 +326,9 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let tag = addr >> self.line_shift;
-        self.lines[self.set_range(addr)]
+        self.tags[self.set_range(addr)]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|word| word & !(DIRTY | DROWSY) == VALID | tag)
     }
 
     /// Changes the number of active ways.
@@ -330,18 +352,20 @@ impl Cache {
         if ways < self.active_ways {
             for set in 0..self.num_sets {
                 let base = set * self.ways;
-                for line in &mut self.lines[base + ways..base + self.active_ways] {
-                    if line.valid {
+                let gated = base + ways..base + self.active_ways;
+                for word in &mut self.tags[gated.clone()] {
+                    if *word & VALID != 0 {
                         self.valid -= 1;
-                        if !line.drowsy {
+                        if *word & DROWSY == 0 {
                             self.awake_valid -= 1;
                         }
-                        if line.dirty {
+                        if *word & DIRTY != 0 {
                             flushed_dirty += 1;
                         }
                     }
-                    *line = Line::default();
+                    *word = 0;
                 }
+                self.ticks[gated].fill(0);
             }
             self.stats.writebacks += flushed_dirty;
         }
@@ -352,7 +376,7 @@ impl Cache {
     /// Number of currently valid lines (used by tests and warm-up checks).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|word| *word & VALID != 0).count()
     }
 
     /// Puts every valid line into the drowsy (low-retention-voltage)
@@ -365,9 +389,9 @@ impl Cache {
     /// Returns the number of lines put drowsy.
     pub fn set_all_drowsy(&mut self) -> usize {
         let mut count = 0;
-        for line in &mut self.lines {
-            if line.valid && !line.drowsy {
-                line.drowsy = true;
+        for word in &mut self.tags {
+            if *word & (VALID | DROWSY) == VALID {
+                *word |= DROWSY;
                 count += 1;
             }
         }
@@ -378,14 +402,15 @@ impl Cache {
     /// Serializes all mutable cache state (line array, active-way count,
     /// LRU tick, residency counters, statistics). Geometry (sets, ways,
     /// line size) is config-derived and not written; restore must run on
-    /// a cache built from the same [`CacheConfig`].
+    /// a cache built from the same [`CacheConfig`]. Each line is written
+    /// as its tag, valid, dirty and drowsy flags, then its LRU tick.
     pub fn snapshot_to(&self, w: &mut ByteWriter) {
-        for line in &self.lines {
-            w.put_u64(line.tag);
-            w.put_bool(line.valid);
-            w.put_bool(line.dirty);
-            w.put_bool(line.drowsy);
-            w.put_u64(line.lru);
+        for (word, last) in self.tags.iter().zip(&self.ticks) {
+            w.put_u64(word & !FLAGS);
+            w.put_bool(word & VALID != 0);
+            w.put_bool(word & DIRTY != 0);
+            w.put_bool(word & DROWSY != 0);
+            w.put_u64(*last);
         }
         w.put_usize(self.active_ways);
         w.put_u64(self.tick);
@@ -400,15 +425,25 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] when the payload is truncated or the
-    /// restored active-way count is outside this cache's geometry.
+    /// Returns a [`CheckpointError`] when the payload is truncated, a
+    /// line's tag reaches the flag bits (no address can produce one), or
+    /// the restored active-way count is outside this cache's geometry.
     pub fn restore_from(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        for line in &mut self.lines {
-            line.tag = r.take_u64()?;
-            line.valid = r.take_bool()?;
-            line.dirty = r.take_bool()?;
-            line.drowsy = r.take_bool()?;
-            line.lru = r.take_u64()?;
+        for (word, last) in self.tags.iter_mut().zip(self.ticks.iter_mut()) {
+            let tag = r.take_u64()?;
+            if tag & FLAGS != 0 {
+                return Err(CheckpointError::Malformed {
+                    what: "cache line tag reaches the flag bits",
+                });
+            }
+            let mut packed = tag;
+            for flag in [VALID, DIRTY, DROWSY] {
+                if r.take_bool()? {
+                    packed |= flag;
+                }
+            }
+            *word = packed;
+            *last = r.take_u64()?;
         }
         let active_ways = r.take_usize()?;
         if active_ways < 1 || active_ways > self.ways {
@@ -442,36 +477,10 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// 4 sets x `ways` ways x 64 B lines (too small to state as a
+    /// whole-KiB `CacheConfig`).
     fn small_cache(ways: u32) -> Cache {
-        // 4 sets x `ways` ways x 64 B lines.
-        let size_kib = (4 * ways * 64) / 1024;
-        let cfg = CacheConfig {
-            size_kib: size_kib.max(1),
-            ways,
-            line_bytes: 64,
-            hit_latency: 10,
-        };
-        // For tiny sizes compute sets directly to keep 4 sets.
-        let mut c = Cache::new(&CacheConfig {
-            size_kib: (4 * ways * 64).div_ceil(1024).max(1),
-            ..cfg
-        });
-        // Ensure the geometry is what the tests assume.
-        if c.num_sets != 4 {
-            c = Cache {
-                lines: vec![Line::default(); 4 * ways as usize],
-                num_sets: 4,
-                ways: ways as usize,
-                active_ways: ways as usize,
-                line_shift: 6,
-                set_mask: 3,
-                tick: 0,
-                awake_valid: 0,
-                valid: 0,
-                stats: CacheStats::default(),
-            };
-        }
-        c
+        Cache::with_geometry(4, ways as usize, 6)
     }
 
     /// Address helper: set index `set`, tag `tag` (4 sets, 64 B lines).
@@ -563,6 +572,35 @@ mod tests {
     fn zero_ways_is_rejected() {
         let mut c = small_cache(4);
         c.set_active_ways(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lines under 8 B")]
+    fn lines_under_eight_bytes_are_rejected() {
+        let _ = Cache::new(&CacheConfig {
+            size_kib: 1,
+            ways: 4,
+            line_bytes: 4,
+            hit_latency: 1,
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_in_the_flag_bits() {
+        let mut c = small_cache(2);
+        c.access(addr(1, 0), true);
+        let mut w = ByteWriter::new();
+        c.snapshot_to(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut fresh = small_cache(2);
+        assert!(fresh.restore_from(&mut ByteReader::new(&bytes)).is_ok());
+        assert!(fresh.probe(addr(1, 0)));
+        // The first line's tag is the first word; set its top bit.
+        bytes[7] |= 0x80;
+        assert!(matches!(
+            small_cache(2).restore_from(&mut ByteReader::new(&bytes)),
+            Err(CheckpointError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -276,6 +276,44 @@ fn interrupted_sweep_resumes_from_its_checkpoint_with_zero_redone_work() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+#[test]
+fn a_run_its_last_chunk_finished_is_never_spilled() {
+    let journal_dir = temp_dir("final-spill-journal");
+    let cache_dir = temp_dir("final-spill-cache");
+    let cfg = ServerConfig {
+        spill_every: 1_000,
+        ..durable_config(&journal_dir, &cache_dir)
+    };
+    let jpath = journal_path(&journal_dir);
+    let daemon = start(&cfg);
+
+    // 50k instructions finish inside the first 65,536-step chunk, which
+    // also crosses the 1k spill interval: the run is done, so nothing is
+    // spilled between its Intent and its Done.
+    let short = daemon.request(r#"{"op":"run","bench":"hmmer","budget":50000,"scale":0.05}"#);
+    assert!(short.contains("\"ok\":true"), "reply: {short}");
+    let journal = replay(&jpath).expect("journal replays");
+    assert_eq!(
+        journal.records_replayed, 2,
+        "a run finished by its first chunk journals Intent and Done only"
+    );
+
+    // A run spanning several chunks still spills while it is unfinished.
+    let long = daemon.request(r#"{"op":"run","bench":"hmmer","budget":2000000,"scale":0.3}"#);
+    assert!(long.contains("\"ok\":true"), "reply: {long}");
+    let journal = replay(&jpath).expect("journal replays");
+    assert!(
+        journal.records_replayed > 4,
+        "a multi-chunk run must spill (journal holds {} records)",
+        journal.records_replayed
+    );
+    assert!(journal.pending.is_empty(), "both runs are retired");
+    daemon.shutdown();
+
+    let _ = std::fs::remove_dir_all(&journal_dir);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 /// Folds the first `n` of `records` the way replay does, returning the
 /// pending intent ids it must report.
 fn pending_ids_after(records: &[Record], n: usize) -> Vec<u64> {

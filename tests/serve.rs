@@ -335,10 +335,11 @@ fn queue_wait_counts_against_the_deadline() {
         ..test_config()
     });
     // The only worker is busy with a run that lasts until its own
-    // 1.5 s deadline expires.
+    // 1.5 s deadline expires. At scale 200 gobmk runs the whole 1e9
+    // budget: seconds past the deadline even in an optimized build.
     let mut long = daemon.connect();
     long.send_raw(
-        b"{\"op\":\"run\",\"bench\":\"gobmk\",\"budget\":100000000,\"scale\":1.0,\"deadline_ms\":1500}\n",
+        b"{\"op\":\"run\",\"bench\":\"gobmk\",\"budget\":1000000000,\"scale\":200.0,\"deadline_ms\":1500}\n",
     );
     let mut probe = daemon.connect();
     let picked_up = Instant::now() + Duration::from_secs(60);
