@@ -1,79 +1,29 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
-use powerchop::managers::{DrowsyMlcManager, TimeoutVpuManager};
 use powerchop::ManagerKind;
+use powerchop_serve::ServerConfig;
 
 use crate::CliError;
 
-/// Which power manager a run should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManagerArg {
-    /// PowerChop (default).
-    PowerChop,
-    /// Fully powered baseline.
-    Full,
-    /// Minimal-power baseline.
-    Minimal,
-    /// VPU idleness timeout baseline.
-    Timeout,
-    /// Drowsy-MLC baseline.
-    Drowsy,
-}
-
-impl ManagerArg {
-    /// Converts to the runtime manager kind.
-    #[must_use]
-    pub fn kind(self) -> ManagerKind {
-        match self {
-            ManagerArg::PowerChop => ManagerKind::PowerChop,
-            ManagerArg::Full => ManagerKind::FullPower,
-            ManagerArg::Minimal => ManagerKind::MinimalPower,
-            ManagerArg::Timeout => ManagerKind::TimeoutVpu {
-                timeout_cycles: TimeoutVpuManager::PAPER_TIMEOUT_CYCLES,
-            },
-            ManagerArg::Drowsy => ManagerKind::DrowsyMlc {
-                period_cycles: DrowsyMlcManager::DEFAULT_PERIOD_CYCLES,
-            },
-        }
-    }
-
-    /// The canonical spelling, accepted back by [`ManagerArg::parse`]
-    /// (used to make snapshots self-describing).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ManagerArg::PowerChop => "powerchop",
-            ManagerArg::Full => "full",
-            ManagerArg::Minimal => "minimal",
-            ManagerArg::Timeout => "timeout",
-            ManagerArg::Drowsy => "drowsy",
-        }
-    }
-
-    /// Parses a manager name (several aliases per manager).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CliError`] naming the expected spellings.
-    pub fn parse(s: &str) -> Result<Self, CliError> {
-        match s {
-            "powerchop" | "chop" => Ok(ManagerArg::PowerChop),
-            "full" | "full-power" => Ok(ManagerArg::Full),
-            "minimal" | "min" => Ok(ManagerArg::Minimal),
-            "timeout" => Ok(ManagerArg::Timeout),
-            "drowsy" => Ok(ManagerArg::Drowsy),
-            other => Err(CliError(format!(
-                "unknown manager `{other}` (expected powerchop|full|minimal|timeout|drowsy)"
-            ))),
-        }
-    }
+/// Parses a `--manager` value (aliases included) into its kind with
+/// the paper-default parameters.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] naming the expected spellings.
+pub fn parse_manager(s: &str) -> Result<ManagerKind, CliError> {
+    powerchop::manager_kind_by_name(s).ok_or_else(|| {
+        CliError(format!(
+            "unknown manager `{s}` (expected powerchop|full|minimal|timeout|drowsy)"
+        ))
+    })
 }
 
 /// Options shared by run-like commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOpts {
     /// Manager to use.
-    pub manager: ManagerArg,
+    pub manager: ManagerKind,
     /// Instruction budget.
     pub budget: u64,
     /// Workload scale factor.
@@ -108,7 +58,7 @@ impl RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            manager: ManagerArg::PowerChop,
+            manager: ManagerKind::PowerChop,
             budget: 8_000_000,
             scale: 1.0,
             json: false,
@@ -266,88 +216,30 @@ impl Default for TopOpts {
     }
 }
 
-/// `serve` daemon tuning knobs (mirrors `powerchop_serve::ServerConfig`).
+/// `serve` daemon tuning knobs: the daemon's own configuration plus
+/// the respawn policy `--supervised` runs it under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOpts {
-    /// Address to listen on (`host:port`; port 0 picks an ephemeral one).
-    pub addr: String,
-    /// Simulation worker threads (`None` resolves through
-    /// `POWERCHOP_JOBS` and then the machine's available parallelism).
-    pub jobs: Option<usize>,
-    /// Waiting jobs admitted before `submit` sheds load with a busy
-    /// reply.
-    pub queue_depth: usize,
-    /// Result-cache capacity in entries (0 disables the cache).
-    pub cache_entries: usize,
-    /// Per-request wall-clock deadline cap in milliseconds.
-    pub deadline_ms: u64,
-    /// Largest accepted request line in bytes.
-    pub max_request_bytes: usize,
-    /// Largest accepted per-run instruction budget.
-    pub max_budget: u64,
-    /// Concurrent connections admitted before the listener sheds new
-    /// sockets with an `overloaded` reply.
-    pub max_connections: usize,
-    /// Per-socket read timeout in milliseconds (0 disables it).
-    pub read_timeout_ms: u64,
-    /// Per-socket write timeout in milliseconds (0 disables it).
-    pub write_timeout_ms: u64,
-    /// Per-connection cap on unflushed reply bytes before a slow
-    /// consumer is disconnected with a typed 408.
-    pub max_outbox_bytes: usize,
-    /// Allow fault-injection ops (`"chaos"` on run requests).
-    pub chaos_ops: bool,
-    /// Write-ahead journal + checkpoint-spill directory (`None`
-    /// disables crash consistency).
-    pub journal_dir: Option<String>,
-    /// Persistent result-cache directory (`None` keeps the cache
-    /// memory-only).
-    pub cache_dir: Option<String>,
-    /// Instructions between checkpoint spills of in-flight runs.
-    pub spill_every: u64,
-    /// Run under the self-healing supervisor: the daemon is respawned
-    /// after crashes at a bounded rate (requires `--journal-dir` to be
-    /// useful, but works without it).
+    /// Everything that shapes the daemon itself.
+    pub server: ServerConfig,
+    /// Run under the self-healing respawn parent: the daemon is
+    /// respawned after crashes at a bounded rate (requires
+    /// `--journal-dir` to be useful, but works without it).
     pub supervised: bool,
-    /// Supervisor give-up threshold: crashes tolerated inside the
-    /// restart window before the supervisor latches a storm verdict.
+    /// Respawn give-up threshold: crashes tolerated inside the restart
+    /// window before the parent latches a storm verdict.
     pub max_restarts: u32,
-    /// Supervisor restart-rate window in milliseconds.
+    /// Restart-rate window in milliseconds.
     pub restart_window_ms: u64,
-    /// Structured JSONL access-log path (`None` disables the log).
-    pub access_log: Option<String>,
-    /// End-to-end latency threshold promoting a request to a detailed
-    /// access-log record (`None` never promotes).
-    pub slow_ms: Option<u64>,
-    /// Trace-id seed (`None` uses per-process OS entropy; fixing it
-    /// makes the trace-id sequence deterministic).
-    pub seed: Option<u64>,
 }
 
 impl Default for ServeOpts {
     fn default() -> Self {
         ServeOpts {
-            addr: "127.0.0.1:7077".into(),
-            jobs: None,
-            queue_depth: 16,
-            cache_entries: 64,
-            deadline_ms: 120_000,
-            max_request_bytes: 1 << 20,
-            max_budget: 1_000_000_000,
-            max_connections: 64,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
-            max_outbox_bytes: 1 << 20,
-            chaos_ops: false,
-            journal_dir: None,
-            cache_dir: None,
-            spill_every: 2_000_000,
+            server: ServerConfig::default(),
             supervised: false,
             max_restarts: 10,
             restart_window_ms: 10_000,
-            access_log: None,
-            slow_ms: None,
-            seed: None,
         }
     }
 }
@@ -566,7 +458,7 @@ fn parse_flags(
                 .ok_or_else(|| CliError(format!("{flag} requires a value")))
         };
         match flag.as_str() {
-            "--manager" => opts.manager = ManagerArg::parse(&value()?)?,
+            "--manager" => opts.manager = parse_manager(&value()?)?,
             "--budget" => opts.budget = parse_positive(flag, &value()?)?,
             "--scale" => opts.scale = parse_scale(flag, &value()?)?,
             "--json" => opts.json = true,
@@ -822,6 +714,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         }
         "serve" => {
             let mut opts = ServeOpts::default();
+            let server = &mut opts.server;
             let mut it = argv[1..].iter();
             while let Some(flag) = it.next() {
                 let mut value = || {
@@ -830,10 +723,10 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                         .ok_or_else(|| CliError(format!("{flag} requires a value")))
                 };
                 match flag.as_str() {
-                    "--addr" => opts.addr = value()?,
+                    "--addr" => server.addr = value()?,
                     "--jobs" => {
                         let n: usize = parse_int(flag, &value()?)?;
-                        opts.jobs = Some(if n == 0 {
+                        server.jobs = Some(if n == 0 {
                             eprintln!(
                                 "warning: --jobs 0 would make an empty pool; clamping to 1 worker"
                             );
@@ -842,31 +735,33 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                             n
                         });
                     }
-                    "--queue-depth" => opts.queue_depth = parse_positive(flag, &value()?)?,
-                    "--cache-entries" => opts.cache_entries = parse_int(flag, &value()?)?,
-                    "--deadline-ms" => opts.deadline_ms = parse_int(flag, &value()?)?,
+                    "--queue-depth" => server.queue_depth = parse_positive(flag, &value()?)?,
+                    "--cache-entries" => server.cache_entries = parse_int(flag, &value()?)?,
+                    "--deadline-ms" => server.deadline_ms = parse_int(flag, &value()?)?,
                     "--max-request-bytes" => {
-                        opts.max_request_bytes = parse_positive(flag, &value()?)?;
+                        server.max_request_bytes = parse_positive(flag, &value()?)?;
                     }
-                    "--max-budget" => opts.max_budget = parse_positive(flag, &value()?)?,
-                    "--max-connections" => opts.max_connections = parse_positive(flag, &value()?)?,
-                    "--read-timeout-ms" => opts.read_timeout_ms = parse_int(flag, &value()?)?,
-                    "--write-timeout-ms" => opts.write_timeout_ms = parse_int(flag, &value()?)?,
+                    "--max-budget" => server.max_budget = parse_positive(flag, &value()?)?,
+                    "--max-connections" => {
+                        server.max_connections = parse_positive(flag, &value()?)?
+                    }
+                    "--read-timeout-ms" => server.read_timeout_ms = parse_int(flag, &value()?)?,
+                    "--write-timeout-ms" => server.write_timeout_ms = parse_int(flag, &value()?)?,
                     "--max-outbox-bytes" => {
-                        opts.max_outbox_bytes = parse_positive(flag, &value()?)?;
+                        server.max_outbox_bytes = parse_positive(flag, &value()?)?;
                     }
-                    "--chaos-ops" => opts.chaos_ops = true,
-                    "--journal-dir" => opts.journal_dir = Some(value()?),
-                    "--cache-dir" => opts.cache_dir = Some(value()?),
-                    "--spill-every" => opts.spill_every = parse_positive(flag, &value()?)?,
+                    "--chaos-ops" => server.chaos_ops = true,
+                    "--journal-dir" => server.journal_dir = Some(value()?),
+                    "--cache-dir" => server.cache_dir = Some(value()?),
+                    "--spill-every" => server.spill_every = parse_positive(flag, &value()?)?,
                     "--supervised" => opts.supervised = true,
                     "--max-restarts" => opts.max_restarts = parse_positive(flag, &value()?)?,
                     "--restart-window-ms" => {
                         opts.restart_window_ms = parse_positive(flag, &value()?)?;
                     }
-                    "--access-log" => opts.access_log = Some(value()?),
-                    "--slow-ms" => opts.slow_ms = Some(parse_int(flag, &value()?)?),
-                    "--seed" => opts.seed = Some(parse_int(flag, &value()?)?),
+                    "--access-log" => server.access_log = Some(value()?),
+                    "--slow-ms" => server.slow_ms = Some(parse_int(flag, &value()?)?),
+                    "--seed" => server.seed = Some(parse_int(flag, &value()?)?),
                     other => return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}"))),
                 }
             }
@@ -921,6 +816,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerchop_serve::durability::manager_label;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -953,7 +849,7 @@ mod tests {
         match c {
             Command::Run { bench, opts } => {
                 assert_eq!(bench, "namd");
-                assert_eq!(opts.manager, ManagerArg::Timeout);
+                assert_eq!(opts.manager, parse_manager("timeout").unwrap());
                 assert_eq!(opts.budget, 1000);
                 assert!((opts.scale - 0.5).abs() < 1e-12);
             }
@@ -963,11 +859,17 @@ mod tests {
 
     #[test]
     fn manager_aliases() {
-        assert_eq!(ManagerArg::parse("drowsy").unwrap(), ManagerArg::Drowsy);
-        assert_eq!(ManagerArg::parse("chop").unwrap(), ManagerArg::PowerChop);
-        assert_eq!(ManagerArg::parse("full-power").unwrap(), ManagerArg::Full);
-        assert_eq!(ManagerArg::parse("min").unwrap(), ManagerArg::Minimal);
-        assert!(ManagerArg::parse("bogus").is_err());
+        assert!(matches!(
+            parse_manager("drowsy").unwrap(),
+            ManagerKind::DrowsyMlc { .. }
+        ));
+        assert_eq!(parse_manager("chop").unwrap(), ManagerKind::PowerChop);
+        assert_eq!(parse_manager("full-power").unwrap(), ManagerKind::FullPower);
+        assert_eq!(parse_manager("min").unwrap(), ManagerKind::MinimalPower);
+        assert_eq!(
+            parse_manager("bogus").unwrap_err().0,
+            "unknown manager `bogus` (expected powerchop|full|minimal|timeout|drowsy)"
+        );
     }
 
     #[test]
@@ -1060,14 +962,10 @@ mod tests {
 
     #[test]
     fn manager_canonical_names_round_trip() {
-        for m in [
-            ManagerArg::PowerChop,
-            ManagerArg::Full,
-            ManagerArg::Minimal,
-            ManagerArg::Timeout,
-            ManagerArg::Drowsy,
-        ] {
-            assert_eq!(ManagerArg::parse(m.as_str()).unwrap(), m);
+        for name in ["powerchop", "full", "minimal", "timeout", "drowsy"] {
+            let kind = parse_manager(name).unwrap();
+            assert_eq!(manager_label(kind), name);
+            assert_eq!(parse_manager(manager_label(kind)).unwrap(), kind);
         }
     }
 
@@ -1183,23 +1081,26 @@ mod tests {
         .unwrap()
         {
             Command::Serve { opts } => {
-                assert_eq!(opts.addr, "127.0.0.1:0");
-                assert_eq!(opts.jobs, Some(2));
-                assert_eq!(opts.queue_depth, 3);
-                assert_eq!(opts.cache_entries, 5);
-                assert_eq!(opts.deadline_ms, 9000);
-                assert_eq!(opts.max_request_bytes, 4096);
-                assert_eq!(opts.max_budget, 500_000);
-                assert_eq!(opts.max_connections, 7);
-                assert_eq!(opts.read_timeout_ms, 1500);
-                assert_eq!(opts.write_timeout_ms, 900);
-                assert_eq!(opts.max_outbox_bytes, 65_536);
-                assert!(opts.chaos_ops);
+                assert_eq!(opts.server.addr, "127.0.0.1:0");
+                assert_eq!(opts.server.jobs, Some(2));
+                assert_eq!(opts.server.queue_depth, 3);
+                assert_eq!(opts.server.cache_entries, 5);
+                assert_eq!(opts.server.deadline_ms, 9000);
+                assert_eq!(opts.server.max_request_bytes, 4096);
+                assert_eq!(opts.server.max_budget, 500_000);
+                assert_eq!(opts.server.max_connections, 7);
+                assert_eq!(opts.server.read_timeout_ms, 1500);
+                assert_eq!(opts.server.write_timeout_ms, 900);
+                assert_eq!(opts.server.max_outbox_bytes, 65_536);
+                assert!(opts.server.chaos_ops);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(!ServeOpts::default().chaos_ops, "chaos ops are opt-in");
-        assert_eq!(ServeOpts::default().max_outbox_bytes, 1 << 20);
+        assert!(
+            !ServeOpts::default().server.chaos_ops,
+            "chaos ops are opt-in"
+        );
+        assert_eq!(ServeOpts::default().server.max_outbox_bytes, 1 << 20);
         assert!(parse(&argv("serve --queue-depth 0")).is_err());
         assert!(parse(&argv("serve --max-connections 0")).is_err());
         // A zero outbox cap would shed every pipelined client instantly.
@@ -1213,9 +1114,9 @@ mod tests {
         .unwrap()
         {
             Command::Serve { opts } => {
-                assert_eq!(opts.journal_dir.as_deref(), Some("wal"));
-                assert_eq!(opts.cache_dir.as_deref(), Some("cache"));
-                assert_eq!(opts.spill_every, 50_000);
+                assert_eq!(opts.server.journal_dir.as_deref(), Some("wal"));
+                assert_eq!(opts.server.cache_dir.as_deref(), Some("cache"));
+                assert_eq!(opts.server.spill_every, 50_000);
                 assert!(opts.supervised);
                 assert_eq!(opts.max_restarts, 3);
                 assert_eq!(opts.restart_window_ms, 5_000);
@@ -1223,8 +1124,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let d = ServeOpts::default();
-        assert_eq!(d.journal_dir, None, "durability is opt-in");
-        assert_eq!(d.cache_dir, None);
+        assert_eq!(d.server.journal_dir, None, "durability is opt-in");
+        assert_eq!(d.server.cache_dir, None);
         assert!(!d.supervised);
         // A zero spill interval would spill every chunk forever; a zero
         // restart budget could never respawn.
@@ -1251,16 +1152,16 @@ mod tests {
         .unwrap()
         {
             Command::Serve { opts } => {
-                assert_eq!(opts.access_log.as_deref(), Some("access.jsonl"));
-                assert_eq!(opts.slow_ms, Some(250));
-                assert_eq!(opts.seed, Some(42));
+                assert_eq!(opts.server.access_log.as_deref(), Some("access.jsonl"));
+                assert_eq!(opts.server.slow_ms, Some(250));
+                assert_eq!(opts.server.seed, Some(42));
             }
             other => panic!("unexpected {other:?}"),
         }
         let d = ServeOpts::default();
-        assert_eq!(d.access_log, None, "the access log is opt-in");
-        assert_eq!(d.slow_ms, None);
-        assert_eq!(d.seed, None, "trace ids default to entropy");
+        assert_eq!(d.server.access_log, None, "the access log is opt-in");
+        assert_eq!(d.server.slow_ms, None);
+        assert_eq!(d.server.seed, None, "trace ids default to entropy");
         // `--slow-ms 0` promotes everything — legal, for harnesses.
         assert!(parse(&argv("serve --slow-ms 0")).is_ok());
         assert!(parse(&argv("serve --access-log")).is_err(), "needs a value");
@@ -1349,7 +1250,7 @@ mod tests {
 
     #[test]
     fn timeout_manager_uses_paper_cycles() {
-        match ManagerArg::Timeout.kind() {
+        match parse_manager("timeout").unwrap() {
             powerchop::ManagerKind::TimeoutVpu { timeout_cycles } => {
                 assert_eq!(timeout_cycles, 20_000);
             }

@@ -9,13 +9,14 @@ use powerchop::{
 use powerchop_durable::write_atomic;
 use powerchop_faults::FaultConfig;
 use powerchop_gisa::Program;
+use powerchop_serve::durability::manager_label;
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{export, timeline, TelemetryConfig, Tracer};
 use powerchop_uarch::cache::MlcWayState;
 use powerchop_uarch::config::{CoreConfig, CoreKind};
 use powerchop_workloads::{Benchmark, Scale, Suite};
 
-use crate::args::{Command, ManagerArg, RunOpts, USAGE};
+use crate::args::{parse_manager, Command, RunOpts, USAGE};
 use crate::CliError;
 
 /// Executes a parsed command.
@@ -44,7 +45,7 @@ pub fn dispatch(command: Command) -> Result<(), CliError> {
             at,
             out,
             opts,
-        } => checkpoint_cmd(&bench, at, out.as_deref(), opts),
+        } => checkpoint_cmd(&bench, at, out.as_deref(), &opts),
         Command::Resume { path, json } => resume_cmd(&path, json),
         Command::Supervise { benches, opts, sup } => {
             crate::supervise::supervise(&benches, opts, &sup)
@@ -81,38 +82,18 @@ fn validate_writable_dir(flag: &str, raw: &str) -> Result<(), CliError> {
 /// and the daemon runs as a respawnable child.
 fn serve_cmd(opts: &crate::args::ServeOpts) -> Result<(), CliError> {
     // Both modes validate the durability directories up front; the
-    // supervisor additionally needs them validated *before* the first
-    // child is forked, not on its own crash path.
-    if let Some(dir) = &opts.journal_dir {
+    // respawn parent additionally needs them validated *before* the
+    // first child is forked, not on its own crash path.
+    if let Some(dir) = &opts.server.journal_dir {
         validate_writable_dir("--journal-dir", dir)?;
     }
-    if let Some(dir) = &opts.cache_dir {
+    if let Some(dir) = &opts.server.cache_dir {
         validate_writable_dir("--cache-dir", dir)?;
     }
     if opts.supervised {
-        return crate::supervisor::serve_supervised(opts);
+        return crate::respawn::serve_supervised(opts);
     }
-    let cfg = powerchop_serve::ServerConfig {
-        addr: opts.addr.clone(),
-        jobs: opts.jobs,
-        queue_depth: opts.queue_depth,
-        cache_entries: opts.cache_entries,
-        deadline_ms: opts.deadline_ms,
-        max_request_bytes: opts.max_request_bytes,
-        max_budget: opts.max_budget,
-        max_connections: opts.max_connections,
-        read_timeout_ms: opts.read_timeout_ms,
-        write_timeout_ms: opts.write_timeout_ms,
-        max_outbox_bytes: opts.max_outbox_bytes,
-        chaos_ops: opts.chaos_ops,
-        journal_dir: opts.journal_dir.clone(),
-        cache_dir: opts.cache_dir.clone(),
-        spill_every: opts.spill_every,
-        access_log: opts.access_log.clone(),
-        slow_ms: opts.slow_ms,
-        seed: opts.seed,
-    };
-    let server = powerchop_serve::Server::bind(&cfg)?;
+    let server = powerchop_serve::Server::bind(&opts.server)?;
     println!("powerchop-serve listening on {}", server.local_addr());
     std::io::Write::flush(&mut std::io::stdout())?;
     server.run()?;
@@ -132,21 +113,12 @@ fn suite_by_name(name: &str) -> Result<Suite, CliError> {
     }
 }
 
-fn benchmark(name: &str) -> Result<&'static Benchmark, CliError> {
+pub(crate) fn benchmark(name: &str) -> Result<&'static Benchmark, CliError> {
     powerchop_workloads::by_name(name).ok_or_else(|| {
         CliError(format!(
             "unknown benchmark `{name}` — try `powerchop-cli list`"
         ))
     })
-}
-
-fn config(kind: CoreKind, opts: &RunOpts) -> RunConfig {
-    let mut cfg = RunConfig::for_kind(kind);
-    cfg.max_instructions = opts.budget;
-    if let Some(jit) = opts.jit {
-        cfg.jit = jit;
-    }
-    cfg
 }
 
 /// The tracer a command's options ask for: recording when `--trace` or
@@ -269,12 +241,8 @@ fn print_report(r: &RunReport) {
 }
 
 fn run_one(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    let b = benchmark(bench)?;
-    let mut cfg = config(b.core_kind(), opts);
-    cfg.faults = fault_config(opts.seed, opts.storm);
-    let program = b.program(Scale(opts.scale));
-    let (report, tracer) =
-        run_program_traced(&program, opts.manager.kind(), &cfg, tracer_for(opts))?;
+    let pr = prepare(bench, opts)?;
+    let (report, tracer) = run_program_traced(&pr.program, pr.kind, &pr.cfg, tracer_for(opts))?;
     write_telemetry(&tracer, opts.trace.as_deref(), opts.metrics.as_deref())?;
     if opts.json {
         println!("{}", report_to_json(&report));
@@ -288,12 +256,9 @@ fn run_one(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
 /// render the phase/gating timeline from the recorded event stream
 /// (plus any `--trace`/`--metrics` files the flags asked for).
 fn trace_cmd(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    let b = benchmark(bench)?;
-    let mut cfg = config(b.core_kind(), opts);
-    cfg.faults = fault_config(opts.seed, opts.storm);
-    let program = b.program(Scale(opts.scale));
+    let pr = prepare(bench, opts)?;
     let tracer = Tracer::enabled(TelemetryConfig::default());
-    let (report, tracer) = run_program_traced(&program, opts.manager.kind(), &cfg, tracer)?;
+    let (report, tracer) = run_program_traced(&pr.program, pr.kind, &pr.cfg, tracer)?;
     write_telemetry(&tracer, opts.trace.as_deref(), opts.metrics.as_deref())?;
     if let Some(rec) = tracer.recorder() {
         println!(
@@ -324,11 +289,8 @@ fn run_all(opts: &RunOpts) -> Result<(), CliError> {
     let benches: Vec<&'static Benchmark> = powerchop_workloads::all().iter().collect();
     let jobs = powerchop_exec::resolve_jobs(opts.jobs);
     let results = powerchop_exec::run_jobs(&benches, jobs, |_, b| -> Result<RunReport, CliError> {
-        let mut cfg = config(b.core_kind(), opts);
-        cfg.faults = fault_config(opts.seed, opts.storm);
-        let program = b.program(Scale(opts.scale));
-        let (report, tracer) =
-            run_program_traced(&program, opts.manager.kind(), &cfg, tracer_for(opts))?;
+        let pr = prepare(b.name(), opts)?;
+        let (report, tracer) = run_program_traced(&pr.program, pr.kind, &pr.cfg, tracer_for(opts))?;
         // Telemetry paths are per-benchmark, so concurrent writes never
         // collide; the "wrote ..." notes go to stderr, not the report.
         write_telemetry(
@@ -384,12 +346,10 @@ fn run_all(opts: &RunOpts) -> Result<(), CliError> {
 }
 
 fn compare(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    let b = benchmark(bench)?;
-    let cfg = config(b.core_kind(), opts);
-    let program = b.program(Scale(opts.scale));
-    let full = run_program(&program, ManagerKind::FullPower, &cfg)?;
-    let chop = run_program(&program, ManagerKind::PowerChop, &cfg)?;
-    println!("{bench} on the {} core:", b.core_kind());
+    let pr = prepare(bench, opts)?;
+    let full = run_program(&pr.program, ManagerKind::FullPower, &pr.cfg)?;
+    let chop = run_program(&pr.program, ManagerKind::PowerChop, &pr.cfg)?;
+    println!("{bench} on the {} core:", pr.cfg.core.kind);
     println!("  IPC            {:.3} -> {:.3}", full.ipc(), chop.ipc());
     println!(
         "  power          {:.2} W -> {:.2} W ({:+.1} %)",
@@ -412,11 +372,9 @@ fn compare(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
 }
 
 fn timeline_cmd(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    let b = benchmark(bench)?;
-    let mut cfg = config(b.core_kind(), opts);
-    cfg.record_windows = true;
-    let program = b.program(Scale(opts.scale));
-    let report = run_program(&program, ManagerKind::PowerChop, &cfg)?;
+    let mut pr = prepare(bench, opts)?;
+    pr.cfg.record_windows = true;
+    let report = run_program(&pr.program, ManagerKind::PowerChop, &pr.cfg)?;
     print_timeline(&report);
     Ok(())
 }
@@ -467,8 +425,8 @@ fn run_asm(path: &str, opts: &RunOpts) -> Result<(), CliError> {
         .and_then(|s| s.to_str())
         .unwrap_or("program");
     let program: Program = powerchop_gisa::asm::assemble(name, &source)?;
-    let cfg = config(CoreKind::Server, opts);
-    let report = run_program(&program, opts.manager.kind(), &cfg)?;
+    let pr = PreparedRun::new(program, CoreKind::Server, opts);
+    let report = run_program(&pr.program, pr.kind, &pr.cfg)?;
     if opts.json {
         println!("{}", report_to_json(&report));
     } else {
@@ -485,7 +443,8 @@ pub const DEFAULT_STRESS_SEED: u64 = powerchop_serve::DEFAULT_FAULT_SEED;
 // is shared with the daemon so both derive identical schedules.
 use powerchop_serve::fault_config;
 
-/// Everything a checkpointable run needs, bundled so `checkpoint`,
+/// Everything a run needs, built from the run-shaping flags by one
+/// builder so every run command honours the same ones, and `checkpoint`,
 /// `resume` and `supervise` reconstruct runs identically.
 pub(crate) struct PreparedRun {
     /// The guest program.
@@ -498,47 +457,49 @@ pub(crate) struct PreparedRun {
     pub meta: SnapshotMeta,
 }
 
-/// Builds a [`PreparedRun`] from its five run-shaping inputs; the
-/// resulting metadata round-trips through a snapshot back into the same
-/// prepared run.
-pub(crate) fn prepare_run(
-    bench: &str,
-    manager: ManagerArg,
-    budget: u64,
-    scale: f64,
-    seed: Option<u64>,
-    storm: bool,
-) -> Result<PreparedRun, CliError> {
-    let b = benchmark(bench)?;
-    let mut cfg = RunConfig::for_kind(b.core_kind());
-    cfg.max_instructions = budget;
-    let faults = fault_config(seed, storm);
-    let fault_seed = faults.as_ref().map(|_| seed.unwrap_or(DEFAULT_STRESS_SEED));
-    cfg.faults = faults;
-    Ok(PreparedRun {
-        program: b.program(Scale(scale)),
-        kind: manager.kind(),
-        cfg,
-        meta: SnapshotMeta {
-            benchmark: b.name().to_owned(),
-            scale,
-            manager: manager.as_str().to_owned(),
-            budget,
-            fault_seed,
-            storm,
-        },
-    })
+impl PreparedRun {
+    /// Prepares `program` on the `core` design point under `opts`'
+    /// manager, budget, JIT mode and fault schedule. The metadata
+    /// round-trips through a snapshot back into the same prepared run.
+    pub(crate) fn new(program: Program, core: CoreKind, opts: &RunOpts) -> Self {
+        let mut cfg = RunConfig::for_kind(core);
+        cfg.max_instructions = opts.budget;
+        if let Some(jit) = opts.jit {
+            cfg.jit = jit;
+        }
+        cfg.faults = fault_config(opts.seed, opts.storm);
+        let meta = SnapshotMeta {
+            benchmark: program.name().to_owned(),
+            scale: opts.scale,
+            manager: manager_label(opts.manager).to_owned(),
+            budget: opts.budget,
+            fault_seed: cfg
+                .faults
+                .as_ref()
+                .map(|_| opts.seed.unwrap_or(DEFAULT_STRESS_SEED)),
+            storm: opts.storm,
+        };
+        PreparedRun {
+            program,
+            kind: opts.manager,
+            cfg,
+            meta,
+        }
+    }
 }
 
-fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: RunOpts) -> Result<(), CliError> {
-    let pr = prepare_run(
-        bench,
-        opts.manager,
-        opts.budget,
-        opts.scale,
-        opts.seed,
-        opts.storm,
-    )?;
+/// Prepares benchmark `bench` at `opts.scale` (see [`PreparedRun::new`]).
+pub(crate) fn prepare(bench: &str, opts: &RunOpts) -> Result<PreparedRun, CliError> {
+    let b = benchmark(bench)?;
+    Ok(PreparedRun::new(
+        b.program(Scale(opts.scale)),
+        b.core_kind(),
+        opts,
+    ))
+}
+
+fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
+    let pr = prepare(bench, opts)?;
     let mut sim = Simulation::new(&pr.program, pr.kind, &pr.cfg)?;
     while !sim.is_done() && sim.retired() < at {
         sim.step_chunk(STEP_CHUNK)?;
@@ -564,14 +525,15 @@ fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: RunOpts) -> Res
 fn resume_cmd(path: &str, json: bool) -> Result<(), CliError> {
     let bytes = std::fs::read(path)?;
     let meta = read_meta(&bytes).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let pr = prepare_run(
-        &meta.benchmark,
-        ManagerArg::parse(&meta.manager)?,
-        meta.budget,
-        meta.scale,
-        meta.fault_seed,
-        meta.storm,
-    )?;
+    let opts = RunOpts {
+        manager: parse_manager(&meta.manager)?,
+        budget: meta.budget,
+        scale: meta.scale,
+        seed: meta.fault_seed,
+        storm: meta.storm,
+        ..RunOpts::default()
+    };
+    let pr = prepare(&meta.benchmark, &opts)?;
     let mut sim = Simulation::restore(&pr.program, pr.kind, &pr.cfg, &bytes)
         .map_err(|e| CliError(format!("{path}: {e}")))?;
     let resumed_at = sim.retired();
@@ -606,9 +568,12 @@ fn stress_one(
     fault_cfg: FaultConfig,
     opts: &RunOpts,
 ) -> Result<StressRow, CliError> {
-    let program = b.program(Scale(opts.scale));
-    let clean_cfg = config(b.core_kind(), opts);
-    let mut faulted_cfg = clean_cfg.clone();
+    let PreparedRun {
+        program, kind, cfg, ..
+    } = prepare(b.name(), opts)?;
+    let mut clean_cfg = cfg.clone();
+    clean_cfg.faults = None;
+    let mut faulted_cfg = cfg;
     faulted_cfg.faults = Some(fault_cfg);
 
     // The survival guarantee is the whole point of the stress command, so
@@ -617,12 +582,8 @@ fn stress_one(
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<_, CliError> {
             let clean = run_program(&program, ManagerKind::FullPower, &clean_cfg)?;
-            let (faulted, tracer) = run_program_traced(
-                &program,
-                opts.manager.kind(),
-                &faulted_cfg,
-                tracer_for(opts),
-            )?;
+            let (faulted, tracer) =
+                run_program_traced(&program, kind, &faulted_cfg, tracer_for(opts))?;
             Ok((clean, faulted, tracer))
         }));
     match outcome {
@@ -822,6 +783,19 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_honours_the_jit_flag() {
+        let argv: Vec<String> = ["checkpoint", "hmmer", "--jit", "off"]
+            .map(str::to_owned)
+            .to_vec();
+        let Command::Checkpoint { bench, opts, .. } = crate::args::parse(&argv).unwrap() else {
+            panic!("checkpoint parses to Command::Checkpoint");
+        };
+        let pr = prepare(&bench, &opts).unwrap();
+        assert_eq!(pr.cfg.jit, powerchop::JitMode::Off);
+        assert_eq!(pr.meta.benchmark, "hmmer");
+    }
+
+    #[test]
     fn suite_names_parse() {
         assert_eq!(suite_by_name("spec-int").unwrap(), Suite::SpecInt);
         assert_eq!(suite_by_name("mobilebench").unwrap(), Suite::MobileBench);
@@ -895,15 +869,13 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let b = benchmark("hmmer").unwrap();
         let opts = RunOpts {
             budget: 200_000,
             scale: 0.05,
             ..RunOpts::default()
         };
-        let cfg = config(b.core_kind(), &opts);
-        let program = b.program(Scale(opts.scale));
-        let report = run_program(&program, opts.manager.kind(), &cfg).unwrap();
+        let pr = prepare("hmmer", &opts).unwrap();
+        let report = run_program(&pr.program, pr.kind, &pr.cfg).unwrap();
         let json = report_to_json(&report);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -8,9 +8,9 @@
 
 pub mod args;
 pub mod commands;
+pub mod respawn;
 pub mod soak;
 pub mod supervise;
-pub mod supervisor;
 pub mod top;
 
 use std::fmt;

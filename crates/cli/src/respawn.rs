@@ -99,55 +99,56 @@ pub fn supervise_loop(
 /// supervision flags (the child must serve, not supervise) and with
 /// every durability/hardening flag spelled back out.
 pub fn child_argv(opts: &ServeOpts) -> Vec<String> {
+    let server = &opts.server;
     let mut argv = vec![
         "serve".to_owned(),
         "--addr".to_owned(),
-        opts.addr.clone(),
+        server.addr.clone(),
         "--queue-depth".to_owned(),
-        opts.queue_depth.to_string(),
+        server.queue_depth.to_string(),
         "--cache-entries".to_owned(),
-        opts.cache_entries.to_string(),
+        server.cache_entries.to_string(),
         "--deadline-ms".to_owned(),
-        opts.deadline_ms.to_string(),
+        server.deadline_ms.to_string(),
         "--max-request-bytes".to_owned(),
-        opts.max_request_bytes.to_string(),
+        server.max_request_bytes.to_string(),
         "--max-budget".to_owned(),
-        opts.max_budget.to_string(),
+        server.max_budget.to_string(),
         "--max-connections".to_owned(),
-        opts.max_connections.to_string(),
+        server.max_connections.to_string(),
         "--read-timeout-ms".to_owned(),
-        opts.read_timeout_ms.to_string(),
+        server.read_timeout_ms.to_string(),
         "--write-timeout-ms".to_owned(),
-        opts.write_timeout_ms.to_string(),
+        server.write_timeout_ms.to_string(),
         "--max-outbox-bytes".to_owned(),
-        opts.max_outbox_bytes.to_string(),
+        server.max_outbox_bytes.to_string(),
         "--spill-every".to_owned(),
-        opts.spill_every.to_string(),
+        server.spill_every.to_string(),
     ];
-    if let Some(jobs) = opts.jobs {
+    if let Some(jobs) = server.jobs {
         argv.push("--jobs".to_owned());
         argv.push(jobs.to_string());
     }
-    if let Some(dir) = &opts.journal_dir {
+    if let Some(dir) = &server.journal_dir {
         argv.push("--journal-dir".to_owned());
         argv.push(dir.clone());
     }
-    if let Some(dir) = &opts.cache_dir {
+    if let Some(dir) = &server.cache_dir {
         argv.push("--cache-dir".to_owned());
         argv.push(dir.clone());
     }
-    if opts.chaos_ops {
+    if server.chaos_ops {
         argv.push("--chaos-ops".to_owned());
     }
-    if let Some(path) = &opts.access_log {
+    if let Some(path) = &server.access_log {
         argv.push("--access-log".to_owned());
         argv.push(path.clone());
     }
-    if let Some(ms) = opts.slow_ms {
+    if let Some(ms) = server.slow_ms {
         argv.push("--slow-ms".to_owned());
         argv.push(ms.to_string());
     }
-    if let Some(seed) = opts.seed {
+    if let Some(seed) = server.seed {
         argv.push("--seed".to_owned());
         argv.push(seed.to_string());
     }
@@ -171,7 +172,7 @@ pub fn serve_supervised(opts: &ServeOpts) -> Result<(), CliError> {
     // cause (port teardown, filesystem pressure) clear, deterministic
     // for a given address.
     let retry = RetryPolicy::new(50, 2_000);
-    let stream = powerchop_resilience::retry::stream_label(&opts.addr);
+    let stream = powerchop_resilience::retry::stream_label(&opts.server.addr);
     let epoch = Instant::now();
     let verdict = supervise_loop(
         policy,
@@ -296,13 +297,16 @@ mod tests {
     #[test]
     fn child_argv_strips_supervision_and_keeps_durability() {
         let opts = ServeOpts {
-            addr: "127.0.0.1:0".into(),
-            jobs: Some(2),
-            journal_dir: Some("wal".into()),
-            cache_dir: Some("cache".into()),
-            spill_every: 50_000,
+            server: powerchop_serve::ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                jobs: Some(2),
+                journal_dir: Some("wal".into()),
+                cache_dir: Some("cache".into()),
+                spill_every: 50_000,
+                chaos_ops: true,
+                ..powerchop_serve::ServerConfig::default()
+            },
             supervised: true,
-            chaos_ops: true,
             ..ServeOpts::default()
         };
         let argv = child_argv(&opts);
@@ -329,9 +333,7 @@ mod tests {
         match crate::args::parse(&argv).expect("child argv parses") {
             crate::args::Command::Serve { opts: reparsed } => {
                 assert!(!reparsed.supervised);
-                assert_eq!(reparsed.journal_dir.as_deref(), Some("wal"));
-                assert_eq!(reparsed.spill_every, 50_000);
-                assert_eq!(reparsed.jobs, Some(2));
+                assert_eq!(reparsed.server, opts.server);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -4,11 +4,17 @@
 //! Each benchmark run gets a wall-clock deadline (checked at every step
 //! chunk boundary, so the run stops cooperatively), panic isolation via
 //! `catch_unwind`, retries with exponential backoff up to a capped
-//! attempt count, and periodic crash-safe checkpoints. Progress is
-//! journaled to an append-only file, so killing the sweep at any point —
-//! including `kill -9` — and re-invoking it continues where it left off:
-//! completed benchmarks are skipped outright and the in-flight one
-//! resumes from its last checkpoint instead of starting over.
+//! attempt count, and periodic crash-safe checkpoints. Progress lives in
+//! the serve daemon's durability format ([`powerchop_serve::durability`])
+//! under `--dir`: each benchmark is one intent in `intents.wal`, every
+//! checkpoint is a journaled spill, and a completed run's report lands
+//! in `results.wal` under its run key before its intent is retired. So
+//! killing the sweep at any point — including `kill -9` — and
+//! re-invoking it continues where it left off: a run whose key is in
+//! the result log is skipped outright, and a pending intent for the
+//! same run resumes from its last spill instead of starting over. A run
+//! that ends deadline-killed or failed stays pending, so the next
+//! invocation resumes it rather than writing it off.
 //!
 //! The sweep fans out over `--jobs` slots on the `powerchop-exec` pool.
 //! Each slot owns its benchmark end-to-end: its deadline is fixed at
@@ -20,30 +26,33 @@
 //!
 //! See `DESIGN.md` for the supervisor state machine.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::path::Path;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{RunReport, Simulation, STEP_CHUNK};
-use powerchop_durable::write_atomic;
+use powerchop::{config_fingerprint, RunReport, Simulation, STEP_CHUNK};
+use powerchop_checkpoint::run_key;
+use powerchop_durable::PendingIntent;
+use powerchop_serve::cache::ResultCache;
+use powerchop_serve::durability::{boot, spec_to_record, Durability, SpillPlan};
+use powerchop_serve::{report_to_json, RunSpec};
 use powerchop_telemetry::Tracer;
 
 use crate::args::{RunOpts, SuperviseOpts};
-use crate::commands::{per_bench_path, prepare_run, tracer_for, write_telemetry, PreparedRun};
+use crate::commands::{
+    benchmark, per_bench_path, prepare, tracer_for, write_telemetry, PreparedRun,
+};
 use crate::CliError;
 
-/// The journal file name inside the supervisor state directory.
-pub const JOURNAL_FILE: &str = "journal.log";
-
-/// Terminal states a benchmark can reach (recorded in the journal; a
-/// bench with a terminal record is never re-run).
+/// How a benchmark's run ended in this invocation. Only `Done` is
+/// final on disk: the other two leave the run's intent pending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Terminal {
-    /// Completed successfully.
+    /// Completed successfully (or already in the result log).
     Done,
     /// Killed by the per-run deadline on its final attempt.
     DeadlineKilled,
@@ -52,8 +61,7 @@ enum Terminal {
 }
 
 /// How one attempt of one benchmark ended. A completed attempt carries
-/// the tracer back so the supervisor can export the flight recording
-/// and fold a metric summary into the journal.
+/// the tracer back so the supervisor can export the flight recording.
 enum AttemptOutcome {
     Completed(Box<RunReport>, Box<Tracer>),
     DeadlineKilled,
@@ -61,62 +69,28 @@ enum AttemptOutcome {
     Errored(String),
 }
 
-/// Parses the journal into each benchmark's terminal state (if any).
-/// Lines that don't parse are ignored: the journal is append-only and a
-/// `kill -9` can truncate its final line mid-write.
-fn read_journal(path: &Path) -> HashMap<String, Terminal> {
-    let mut out = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return out;
-    };
-    for line in text.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(verb), Some(bench)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        let terminal = match verb {
-            "done" => Terminal::Done,
-            "deadline" => Terminal::DeadlineKilled,
-            "failed" => Terminal::Failed,
-            _ => continue,
-        };
-        out.insert(bench.to_owned(), terminal);
-    }
-    out
-}
-
-/// Appends one line to the journal and syncs it to disk, so a `kill -9`
-/// immediately afterwards cannot lose the record.
-fn journal_append(path: &Path, line: &str) -> Result<(), CliError> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{line}")?;
-    f.sync_all()?;
-    Ok(())
-}
-
 /// State shared by every parallel supervision slot.
-struct Shared<'a> {
-    /// Journal path.
-    journal: &'a Path,
-    /// Serializes journal appends (open + write + fsync as one unit).
-    journal_lock: Mutex<()>,
+struct Shared {
+    /// The sweep directory's journal, result log and spill policy.
+    durability: Arc<Durability>,
+    /// Run keys already in the result log at boot: finished work.
+    finished: HashSet<u128>,
+    /// Intents no earlier invocation retired, each claimed by at most
+    /// one slot.
+    pending: Mutex<Vec<PendingIntent>>,
     /// Serializes per-run console blocks so slots never interleave lines.
     stdout_lock: Mutex<()>,
 }
 
-impl Shared<'_> {
-    /// Mutex-serialized [`journal_append`]. A poisoned lock (another slot
-    /// panicked mid-append) still appends: losing journal records would
-    /// repeat completed work on the next invocation.
-    fn append(&self, line: &str) -> Result<(), CliError> {
-        let _guard = self
-            .journal_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        journal_append(self.journal, line)
+impl Shared {
+    /// Takes the pending intent journaled for exactly `spec`, if any.
+    fn claim(&self, spec: &RunSpec) -> Option<PendingIntent> {
+        let record = spec_to_record(spec);
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        let index = pending
+            .iter()
+            .position(|p| p.specs == std::slice::from_ref(&record))?;
+        Some(pending.swap_remove(index))
     }
 
     /// Prints one run's buffered console block atomically.
@@ -130,20 +104,18 @@ impl Shared<'_> {
     }
 }
 
-/// The compact per-run metric summary folded into the journal after a
-/// traced run completes (`None` when the run was untraced). Its verb,
-/// `metrics`, is not a terminal state, so the journal parser skips it.
-fn metric_summary(name: &str, tracer: &Tracer) -> Option<String> {
-    let m = tracer.recorder()?.metrics();
-    Some(format!(
-        "metrics {name} events {} dropped {} phase {} gating {} cde {} faults {}",
-        m.counter("telemetry_events_recorded_total"),
-        m.counter("telemetry_events_dropped_total"),
-        m.counter("events_phase_total"),
-        m.counter("events_gating_total"),
-        m.counter("events_cde_total"),
-        m.counter("events_faults_total"),
-    ))
+/// The journaled spec of one supervised benchmark run.
+fn run_spec(bench: &str, opts: &RunOpts, deadline_ms: u64) -> RunSpec {
+    RunSpec {
+        bench: bench.to_owned(),
+        manager: opts.manager,
+        budget: opts.budget,
+        scale: opts.scale,
+        seed: opts.seed,
+        storm: opts.storm,
+        deadline_ms,
+        chaos_panic: false,
+    }
 }
 
 /// Extracts a displayable message from a caught panic payload.
@@ -157,55 +129,56 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one attempt of one benchmark: resume from the checkpoint when a
-/// usable one exists, step in chunks, checkpoint periodically, and bail
-/// out (persisting progress) at the first chunk boundary past `deadline`
+/// Runs one attempt of one benchmark: resume from the run's spill when a
+/// usable one exists, step in chunks, spill periodically, and bail out
+/// (spilling progress) at the first chunk boundary past `deadline`
 /// (`None` never expires). Returns the outcome plus whether the attempt
-/// resumed from a checkpoint.
+/// resumed from a spill.
 fn run_attempt(
     pr: &PreparedRun,
     opts: &RunOpts,
-    ckpt_path: &Path,
-    checkpoint_every: u64,
+    plan: &SpillPlan,
     deadline: Option<Instant>,
 ) -> (AttemptOutcome, bool) {
     let mut resumed = false;
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutcome, CliError> {
-        let mut sim = match std::fs::read(ckpt_path) {
-            Ok(bytes) => match Simulation::restore(&pr.program, pr.kind, &pr.cfg, &bytes) {
-                Ok(sim) => {
-                    resumed = true;
-                    sim
-                }
-                Err(e) => {
-                    // A corrupt or stale checkpoint is a typed error,
-                    // never a panic: report it and start from scratch.
-                    eprintln!(
-                        "warning: checkpoint {} unusable ({e}); starting fresh",
-                        ckpt_path.display()
-                    );
-                    Simulation::new(&pr.program, pr.kind, &pr.cfg)?
-                }
-            },
-            Err(_) => Simulation::new(&pr.program, pr.kind, &pr.cfg)?,
+        let mut sim = match plan.restore(&pr.program, pr.kind, &pr.cfg) {
+            Some(Ok(sim)) => {
+                resumed = true;
+                sim
+            }
+            Some(Err(e)) => {
+                // A corrupt or stale spill is a typed error, never a
+                // panic: report it and start from scratch.
+                eprintln!(
+                    "warning: checkpoint {} unusable ({e}); starting fresh",
+                    plan.path().display()
+                );
+                Simulation::new(&pr.program, pr.kind, &pr.cfg)?
+            }
+            None => Simulation::new(&pr.program, pr.kind, &pr.cfg)?,
         };
         // Telemetry is not checkpointed: a resumed attempt's recording
         // simply starts at the resume point.
         if opts.wants_telemetry() {
             sim.attach_tracer(tracer_for(opts));
         }
-        let mut last_checkpoint = sim.retired();
+        let mut last_spill = sim.retired();
         while !sim.is_done() {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 // Persist progress before dying so the retry (or the
                 // next invocation) resumes instead of starting over.
-                write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?;
+                plan.spill(&mut sim);
                 return Ok(AttemptOutcome::DeadlineKilled);
             }
             sim.step_chunk(STEP_CHUNK)?;
-            if sim.retired().saturating_sub(last_checkpoint) >= checkpoint_every {
-                last_checkpoint = sim.retired();
-                write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?;
+            // A run the chunk just finished is retired moments from
+            // now, and its spill with it: checkpoint only unfinished work.
+            if !sim.is_done()
+                && sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every
+            {
+                plan.spill(&mut sim);
+                last_spill = sim.retired();
             }
         }
         let (report, tracer) = sim.into_report_with_telemetry();
@@ -231,79 +204,80 @@ struct Row {
     skipped: bool,
 }
 
-/// Supervises one benchmark in one pool slot: skip when already terminal,
-/// otherwise up to `max_attempts` deadline-bounded attempts with retries
-/// and backoff. The deadline is fixed here, at each attempt's own start,
+/// Supervises one benchmark in one pool slot: skip when its run key is
+/// in the result log, otherwise up to `max_attempts` deadline-bounded
+/// attempts with retries and backoff under one journaled intent — the
+/// pending one for the same spec when an earlier invocation left it,
+/// else a fresh one. The deadline is fixed at each attempt's own start,
 /// so a slot's deadline covers only its own run — never wall-clock time
-/// other slots or earlier runs already burned. Console output is buffered
-/// and printed as one block per finished run.
-#[allow(clippy::too_many_arguments)]
+/// other slots or earlier runs already burned. Console output is
+/// buffered and printed as one block per finished run.
 fn supervise_slot(
     name: &str,
-    index: usize,
-    total: usize,
+    ordinal: &str,
     opts: &RunOpts,
     sup: &SuperviseOpts,
-    dir: &Path,
-    shared: &Shared<'_>,
-    already: Option<Terminal>,
+    shared: &Shared,
 ) -> Result<Row, CliError> {
-    let ordinal = format!("[{}/{}]", index + 1, total);
     let mut block = String::new();
-    if let Some(terminal) = already {
-        let _ = writeln!(
-            block,
-            "{ordinal} {name}: already {} — skipped",
-            verb(terminal)
-        );
-        shared.print_block(&block);
-        return Ok(Row {
-            name: name.to_owned(),
-            terminal,
-            attempts: 0,
-            resumed: false,
-            skipped: true,
-        });
-    }
-    let pr = prepare_run(
-        name,
-        opts.manager,
-        opts.budget,
-        opts.scale,
-        opts.seed,
-        opts.storm,
-    )?;
-    let ckpt_path = dir.join(format!("{name}.ckpt"));
-    let max_attempts = sup.max_attempts.max(1);
+    let pr = prepare(name, opts)?;
+    let key = run_key(
+        pr.program.fingerprint(),
+        config_fingerprint(pr.kind, &pr.cfg),
+    );
+    let spec = run_spec(name, opts, sup.deadline_ms);
+    let d = &shared.durability;
+    let claimed = shared.claim(&spec);
     let mut row = Row {
         name: name.to_owned(),
-        terminal: Terminal::Failed,
+        terminal: Terminal::Done,
         attempts: 0,
         resumed: false,
-        skipped: false,
+        skipped: true,
     };
+    if shared.finished.contains(&key) {
+        // A kill between the result append and the `Done` left the
+        // intent pending: retire it now.
+        if let Some(intent) = claimed {
+            d.retire(intent.id, [name]);
+        }
+        let _ = writeln!(block, "{ordinal} {name}: already done — skipped");
+        shared.print_block(&block);
+        return Ok(row);
+    }
+    let (id, resume_from) = match &claimed {
+        Some(intent) => (intent.id, intent.spilled.get(name).copied()),
+        None => {
+            let id = d.next_intent_id();
+            d.journal_intent(id, 0, std::slice::from_ref(&spec));
+            (id, None)
+        }
+    };
+    let plan = SpillPlan {
+        durability: Arc::clone(d),
+        id,
+        spec,
+        resume_from,
+        recovery: claimed.is_some(),
+    };
+    let max_attempts = sup.max_attempts.max(1);
+    row.skipped = false;
     for attempt in 1..=max_attempts {
         row.attempts = attempt;
-        shared.append(&format!("start {name} attempt {attempt}"))?;
         // A zero deadline is already expired at the first boundary; one
         // too far out to represent never expires.
         let started = Instant::now();
         let deadline = started.checked_add(Duration::from_millis(sup.deadline_ms));
-        let (outcome, resumed) = run_attempt(&pr, opts, &ckpt_path, sup.checkpoint_every, deadline);
+        let (outcome, resumed) = run_attempt(&pr, opts, &plan, deadline);
         row.resumed = row.resumed || resumed;
         let elapsed = started.elapsed();
 
         match outcome {
             AttemptOutcome::Completed(report, tracer) => {
-                shared.append(&format!(
-                    "done {name} attempts {attempt} instructions {} cycles {} energy_bits {}",
-                    report.instructions,
-                    report.cycles,
-                    report.energy.total_j.to_bits()
-                ))?;
-                if let Some(line) = metric_summary(name, &tracer) {
-                    shared.append(&line)?;
-                }
+                // Result first, then `Done`: a kill between the two
+                // leaves a pending intent whose result is already logged.
+                d.record_cache_put(key, &report_to_json(&report));
+                d.retire(plan.id, [name]);
                 write_telemetry(
                     &tracer,
                     opts.trace
@@ -315,7 +289,6 @@ fn supervise_slot(
                         .map(|p| per_bench_path(p, name))
                         .as_deref(),
                 )?;
-                let _ = std::fs::remove_file(&ckpt_path);
                 let _ =
                     writeln!(
                     block,
@@ -334,9 +307,6 @@ fn supervise_slot(
                     elapsed.as_secs_f64()
                 );
                 row.terminal = Terminal::DeadlineKilled;
-                if attempt == max_attempts {
-                    shared.append(&format!("deadline {name} attempts {attempt}"))?;
-                }
             }
             AttemptOutcome::Panicked(msg) | AttemptOutcome::Errored(msg) => {
                 let _ = writeln!(
@@ -344,12 +314,9 @@ fn supervise_slot(
                     "{ordinal} {name}: attempt {attempt}/{max_attempts} failed: {msg}"
                 );
                 row.terminal = Terminal::Failed;
-                if attempt == max_attempts {
-                    shared.append(&format!("failed {name} attempts {attempt} {msg}"))?;
-                }
             }
         }
-        if row.terminal != Terminal::Done && attempt < max_attempts {
+        if attempt < max_attempts {
             let pause = backoff_delay_ms(sup.backoff_ms, opts.seed, name, attempt);
             std::thread::sleep(Duration::from_millis(pause));
         }
@@ -380,8 +347,9 @@ fn backoff_delay_ms(base_ms: u64, seed: Option<u64>, bench: &str, attempt: u32) 
 ///
 /// Returns a [`CliError`] for unknown benchmarks or unusable state
 /// directories, and after the sweep when any benchmark ended
-/// deadline-killed or permanently failed (completed work is journaled
-/// first, so a re-invocation never repeats it).
+/// deadline-killed or permanently failed (its intent stays pending, so a
+/// re-invocation resumes it, and completed work is logged first, so a
+/// re-invocation never repeats it).
 pub fn supervise(benches: &[String], opts: RunOpts, sup: &SuperviseOpts) -> Result<(), CliError> {
     let names: Vec<String> = if benches.is_empty() {
         powerchop_workloads::all()
@@ -393,20 +361,14 @@ pub fn supervise(benches: &[String], opts: RunOpts, sup: &SuperviseOpts) -> Resu
     };
     // Validate every name up front so a typo fails before any work runs.
     for name in &names {
-        prepare_run(
-            name,
-            opts.manager,
-            opts.budget,
-            opts.scale,
-            opts.seed,
-            opts.storm,
-        )?;
+        benchmark(name)?;
     }
 
-    let dir = PathBuf::from(&sup.dir);
-    std::fs::create_dir_all(&dir)?;
-    let journal = dir.join(JOURNAL_FILE);
-    let already = read_journal(&journal);
+    let dir = Path::new(&sup.dir);
+    // Every logged result must stay visible to the skip check, so the
+    // result log reloads into an unbounded cache.
+    let mut logged = ResultCache::new(usize::MAX);
+    let booted = boot(dir, Some(dir), sup.checkpoint_every, &mut logged)?;
     let jobs = powerchop_exec::resolve_jobs(opts.jobs);
 
     println!(
@@ -420,30 +382,24 @@ pub fn supervise(benches: &[String], opts: RunOpts, sup: &SuperviseOpts) -> Resu
     );
 
     let shared = Shared {
-        journal: &journal,
-        journal_lock: Mutex::new(()),
+        durability: booted.durability,
+        finished: logged.entries().map(|(key, _)| key).collect(),
+        pending: Mutex::new(booted.pending),
         stdout_lock: Mutex::new(()),
     };
     let total = names.len();
     let results = powerchop_exec::run_jobs(&names, jobs, |index, name| {
-        supervise_slot(
-            name,
-            index,
-            total,
-            &opts,
-            sup,
-            &dir,
-            &shared,
-            already.get(name.as_str()).copied(),
-        )
+        let ordinal = format!("[{}/{total}]", index + 1);
+        supervise_slot(name, &ordinal, &opts, sup, &shared)
     });
     let mut rows: Vec<Row> = Vec::with_capacity(names.len());
     for (name, result) in names.iter().zip(results) {
         match result {
             Ok(row) => rows.push(row?),
             Err(p) => {
-                // A panic that escaped the per-attempt catch (journal I/O,
-                // bookkeeping): record the failure rather than lose the slot.
+                // A panic that escaped the per-attempt catch (bookkeeping,
+                // telemetry export): record the failure rather than lose
+                // the slot.
                 eprintln!("{name}: supervisor slot panicked: {}", p.message);
                 rows.push(Row {
                     name: name.clone(),
@@ -464,14 +420,6 @@ pub fn supervise(benches: &[String], opts: RunOpts, sup: &SuperviseOpts) -> Resu
         )));
     }
     Ok(())
-}
-
-fn verb(t: Terminal) -> &'static str {
-    match t {
-        Terminal::Done => "done",
-        Terminal::DeadlineKilled => "deadline-killed",
-        Terminal::Failed => "failed",
-    }
 }
 
 fn print_summary(rows: &[Row]) {
@@ -514,7 +462,12 @@ fn name_list(rows: &[&Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::ManagerArg;
+    use std::path::PathBuf;
+
+    use powerchop::ManagerKind;
+    use powerchop_durable::{
+        journal_path, replay, replay_results, results_path, CacheReplay, JournalReplay,
+    };
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -526,10 +479,53 @@ mod tests {
 
     fn small_opts() -> RunOpts {
         RunOpts {
-            manager: ManagerArg::PowerChop,
+            manager: ManagerKind::PowerChop,
             budget: 200_000,
             scale: 0.05,
             ..RunOpts::default()
+        }
+    }
+
+    fn sup_opts(dir: &Path, max_attempts: u32, checkpoint_every: u64) -> SuperviseOpts {
+        SuperviseOpts {
+            dir: dir.to_string_lossy().into_owned(),
+            deadline_ms: 60_000,
+            max_attempts,
+            backoff_ms: 1,
+            checkpoint_every,
+        }
+    }
+
+    /// The sweep directory's journal and result log, as a boot would
+    /// replay them.
+    fn logs(dir: &Path) -> (JournalReplay, CacheReplay) {
+        (
+            replay(&journal_path(dir)).expect("journal replays"),
+            replay_results(&results_path(dir)).expect("result log replays"),
+        )
+    }
+
+    /// The reply an uninterrupted in-process run of `bench` logs.
+    fn direct_report(bench: &str, opts: &RunOpts) -> String {
+        let pr = prepare(bench, opts).expect("prepare succeeds");
+        let report = powerchop::run_program(&pr.program, pr.kind, &pr.cfg).expect("run completes");
+        report_to_json(&report)
+    }
+
+    /// Journals a pending intent for `bench` in `dir`, as a sweep killed
+    /// mid-run leaves it, and returns its spill plan.
+    fn pending_intent(dir: &Path, bench: &str, opts: &RunOpts) -> SpillPlan {
+        let booted = boot(dir, None, u64::MAX, &mut ResultCache::new(0)).expect("boot");
+        let durability = booted.durability;
+        let id = durability.next_intent_id();
+        let spec = run_spec(bench, opts, 60_000);
+        durability.journal_intent(id, 0, std::slice::from_ref(&spec));
+        SpillPlan {
+            durability,
+            id,
+            spec,
+            resume_from: None,
+            recovery: false,
         }
     }
 
@@ -580,168 +576,153 @@ mod tests {
     #[test]
     fn sweep_completes_and_second_invocation_skips_done_work() {
         let dir = tmp_dir("skip");
-        let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            deadline_ms: 60_000,
-            max_attempts: 2,
-            backoff_ms: 1,
-            checkpoint_every: 50_000,
-        };
+        let sup = sup_opts(&dir, 2, 50_000);
         let benches = vec!["hmmer".to_owned(), "namd".to_owned()];
         supervise(&benches, small_opts(), &sup).expect("sweep completes");
+        let (journal, results) = logs(&dir);
+        assert!(journal.pending.is_empty(), "every intent retired");
+        assert_eq!(results.entries.len(), 2, "one logged result per run");
+        let logged = std::fs::read(results_path(&dir)).expect("result log exists");
 
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert_eq!(journal.matches("done hmmer").count(), 1);
-        assert_eq!(journal.matches("done namd").count(), 1);
-
-        // Re-invoking must not repeat completed work: no new start lines.
+        // Re-invoking must not repeat completed work: the boot compacts
+        // the retired intents away, and nothing new is journaled or
+        // logged after it.
         supervise(&benches, small_opts(), &sup).expect("second sweep completes");
-        let journal2 = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert_eq!(journal2, journal, "second invocation did zero work");
+        let (journal, results2) = logs(&dir);
+        assert_eq!(
+            journal.records_replayed, 0,
+            "second invocation did zero work"
+        );
+        assert_eq!(results2, results);
+        assert_eq!(std::fs::read(results_path(&dir)).expect("read"), logged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn parallel_slots_complete_with_independent_deadlines() {
         let dir = tmp_dir("parallel");
-        let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            deadline_ms: 60_000,
-            max_attempts: 1,
-            backoff_ms: 1,
-            checkpoint_every: u64::MAX,
-        };
+        let sup = sup_opts(&dir, 1, u64::MAX);
         let opts = RunOpts {
             jobs: Some(3),
             ..small_opts()
         };
         let benches = vec!["hmmer".to_owned(), "namd".to_owned(), "msn".to_owned()];
         supervise(&benches, opts, &sup).expect("parallel sweep completes");
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        // Every slot journals its own terminal record exactly once, even
-        // though appends raced through the mutex.
-        for name in ["hmmer", "namd", "msn"] {
-            assert_eq!(
-                journal.matches(&format!("done {name}")).count(),
-                1,
-                "journal: {journal}"
-            );
-        }
-        // No torn lines: each journaled line starts with a known verb.
-        for line in journal.lines() {
-            let verb = line.split_whitespace().next().unwrap_or("");
-            assert!(
-                ["start", "done", "deadline", "failed", "metrics"].contains(&verb),
-                "torn or interleaved journal line: {line:?}"
-            );
-        }
+        // Every slot journals its intent and retires it exactly once, even
+        // though appends raced through the mutex: three intents, three
+        // dones, no torn or interleaved frame.
+        let (journal, results) = logs(&dir);
+        assert_eq!(journal.records_replayed, 6, "{journal:?}");
+        assert!(journal.pending.is_empty(), "{journal:?}");
+        assert!(!journal.discarded(), "{journal:?}");
+        assert_eq!(results.entries.len(), 3);
+        assert!(!results.discarded);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn traced_sweep_folds_metric_summaries_into_journal() {
+    fn traced_sweep_writes_a_per_bench_metrics_dump() {
         let dir = tmp_dir("telemetry");
-        let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            deadline_ms: 60_000,
-            max_attempts: 1,
-            backoff_ms: 1,
-            checkpoint_every: u64::MAX,
-        };
+        let sup = sup_opts(&dir, 1, u64::MAX);
         let metrics_path = dir.join("m.prom");
         let opts = RunOpts {
             metrics: Some(metrics_path.to_string_lossy().into_owned()),
             ..small_opts()
         };
         supervise(&["hmmer".to_owned()], opts, &sup).expect("sweep completes");
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert!(
-            journal.contains("metrics hmmer events "),
-            "journal folds metric summaries: {journal}"
-        );
-        // The metrics verb is not terminal: parsing still sees `done`.
-        assert_eq!(
-            read_journal(&dir.join(JOURNAL_FILE)).get("hmmer"),
-            Some(&Terminal::Done)
-        );
         let prom = std::fs::read_to_string(dir.join("m-hmmer.prom"))
             .expect("per-bench prometheus dump exists");
         assert!(prom.contains("sim_instructions_total"));
+        // Tracing never changes the logged report.
+        let (_, results) = logs(&dir);
+        assert_eq!(results.entries[0].1, direct_report("hmmer", &small_opts()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn mid_run_checkpoint_lets_next_invocation_resume_not_restart() {
+    fn mid_run_spill_lets_next_invocation_resume_not_restart() {
         let dir = tmp_dir("resume");
-        let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            deadline_ms: 60_000,
-            max_attempts: 1,
-            backoff_ms: 1,
-            checkpoint_every: 50_000,
-        };
         let opts = small_opts();
-
-        // Simulate a sweep killed mid-run: leave a valid mid-run
-        // checkpoint and a journal with a dangling `start` line.
-        let pr = prepare_run("hmmer", opts.manager, opts.budget, opts.scale, None, false)
-            .expect("prepare succeeds");
+        // Simulate a sweep killed mid-run: a pending intent whose last
+        // journaled spill is a valid mid-run snapshot.
+        let plan = pending_intent(&dir, "hmmer", &opts);
+        let pr = prepare("hmmer", &opts).expect("prepare succeeds");
         let mut sim = Simulation::new(&pr.program, pr.kind, &pr.cfg).expect("config valid");
         while sim.retired() < 60_000 {
             sim.step_chunk(1024).expect("stepping succeeds");
         }
         assert!(!sim.is_done());
-        write_atomic(&dir.join("hmmer.ckpt"), &sim.snapshot(&pr.meta)).expect("snapshot writes");
-        journal_append(&dir.join(JOURNAL_FILE), "start hmmer attempt 1").expect("journal writes");
-
-        supervise(&["hmmer".to_owned()], opts, &sup).expect("sweep completes");
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert!(journal.contains("done hmmer"), "run completed: {journal}");
-        assert!(
-            !dir.join("hmmer.ckpt").exists(),
-            "checkpoint cleaned up after completion"
+        plan.spill(&mut sim);
+        let (journal, _) = logs(&dir);
+        assert_eq!(
+            journal.pending[0].spilled.get("hmmer"),
+            Some(&sim.retired())
         );
+
+        supervise(
+            &["hmmer".to_owned()],
+            opts.clone(),
+            &sup_opts(&dir, 1, 50_000),
+        )
+        .expect("sweep completes");
+        let (journal, results) = logs(&dir);
+        assert!(journal.pending.is_empty(), "the resumed intent is retired");
+        assert!(!plan.path().exists(), "spill cleaned up after completion");
+        // Resumed ≡ uninterrupted.
+        assert_eq!(results.entries[0].1, direct_report("hmmer", &opts));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn deadline_kills_are_reported_and_checkpointed() {
+    fn deadline_kills_are_reported_and_spilled_and_stay_pending() {
         let dir = tmp_dir("deadline");
         let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            // A 0 ms deadline trips the watchdog immediately.
+            // A 0 ms deadline expires at the first chunk boundary.
             deadline_ms: 0,
-            max_attempts: 2,
-            backoff_ms: 1,
-            checkpoint_every: u64::MAX,
+            ..sup_opts(&dir, 2, u64::MAX)
         };
         let err = supervise(&["hmmer".to_owned()], small_opts(), &sup)
             .expect_err("deadline-killed sweeps report failure");
         assert!(err.to_string().contains("did not complete"));
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert!(journal.contains("deadline hmmer"), "journal: {journal}");
+        let (journal, results) = logs(&dir);
+        assert_eq!(journal.pending.len(), 1, "a killed run stays pending");
+        let intent = &journal.pending[0];
+        assert!(intent.spilled.contains_key("hmmer"), "{journal:?}");
         assert!(
-            dir.join("hmmer.ckpt").exists(),
+            powerchop_durable::spill_path(&dir, intent.id, "hmmer").exists(),
             "killed runs persist their progress"
         );
+        assert!(results.entries.is_empty());
+
+        // The next invocation with a workable deadline resumes and
+        // finishes it under the same intent.
+        supervise(
+            &["hmmer".to_owned()],
+            small_opts(),
+            &sup_opts(&dir, 1, u64::MAX),
+        )
+        .expect("the resumed sweep completes");
+        let (journal, results) = logs(&dir);
+        assert!(journal.pending.is_empty());
+        assert_eq!(results.entries[0].1, direct_report("hmmer", &small_opts()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_checkpoint_is_survived_with_a_fresh_start() {
+    fn corrupt_spill_is_survived_with_a_fresh_start() {
         let dir = tmp_dir("corrupt");
-        let sup = SuperviseOpts {
-            dir: dir.to_string_lossy().into_owned(),
-            deadline_ms: 60_000,
-            max_attempts: 1,
-            backoff_ms: 1,
-            checkpoint_every: u64::MAX,
-        };
-        std::fs::write(dir.join("hmmer.ckpt"), b"definitely not a snapshot").expect("write");
-        supervise(&["hmmer".to_owned()], small_opts(), &sup)
-            .expect("corrupt checkpoint falls back to a fresh run");
-        let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal exists");
-        assert!(journal.contains("done hmmer"));
+        let plan = pending_intent(&dir, "hmmer", &small_opts());
+        std::fs::write(plan.path(), b"definitely not a snapshot").expect("write");
+        plan.durability.journal_spill(plan.id, "hmmer", 60_000);
+        supervise(
+            &["hmmer".to_owned()],
+            small_opts(),
+            &sup_opts(&dir, 1, u64::MAX),
+        )
+        .expect("corrupt spill falls back to a fresh run");
+        let (journal, results) = logs(&dir);
+        assert!(journal.pending.is_empty());
+        assert_eq!(results.entries[0].1, direct_report("hmmer", &small_opts()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -754,24 +735,46 @@ mod tests {
         };
         let err = supervise(&["doom".to_owned()], small_opts(), &sup).expect_err("unknown bench");
         assert!(err.to_string().contains("unknown benchmark"));
-        assert!(!dir.join(JOURNAL_FILE).exists(), "no journal written");
+        assert!(!journal_path(&dir).exists(), "no journal written");
+        assert!(!results_path(&dir).exists(), "no result log written");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn journal_parser_ignores_torn_lines() {
+    fn torn_log_tails_are_ignored_and_only_their_run_is_redone() {
         let dir = tmp_dir("torn");
-        let path = dir.join(JOURNAL_FILE);
-        std::fs::write(
-            &path,
-            "done hmmer attempts 1 instructions 5 cycles 9 energy_bits 0\nstart namd attempt 1\ndone na",
-        )
-        .expect("write");
-        let map = read_journal(&path);
-        assert_eq!(map.get("hmmer"), Some(&Terminal::Done));
-        assert_eq!(map.get("namd"), None, "start lines are not terminal");
-        // The torn final line parses as verb `done` bench `na` — harmless:
-        // `na` is not a real benchmark name.
+        let sup = sup_opts(&dir, 1, u64::MAX);
+        let opts = RunOpts {
+            jobs: Some(1),
+            ..small_opts()
+        };
+        let benches = vec!["hmmer".to_owned(), "namd".to_owned()];
+        supervise(&benches, opts.clone(), &sup).expect("sweep completes");
+        // Tear the last append of each log, as a kill mid-write would:
+        // namd's logged result and its `Done`.
+        for path in [journal_path(&dir), results_path(&dir)] {
+            let mut bytes = std::fs::read(&path).expect("read log");
+            bytes.truncate(bytes.len() - 3);
+            std::fs::write(&path, &bytes).expect("write torn log");
+        }
+        let (journal, results) = logs(&dir);
+        assert!(journal.torn_tail && results.discarded);
+        assert_eq!(journal.pending.len(), 1);
+        assert_eq!(results.entries.len(), 1);
+
+        supervise(&benches, opts, &sup).expect("second sweep completes");
+        // hmmer was skipped; namd ran once more, under its pending intent.
+        let (journal, results) = logs(&dir);
+        assert_eq!(journal.records_replayed, 2, "{journal:?}");
+        assert!(journal.pending.is_empty() && !journal.discarded());
+        let reports: Vec<&str> = results.entries.iter().map(|(_, r)| r.as_str()).collect();
+        assert_eq!(
+            reports,
+            [
+                direct_report("hmmer", &small_opts()),
+                direct_report("namd", &small_opts())
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

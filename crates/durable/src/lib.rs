@@ -1,4 +1,5 @@
-//! Crash-consistency for the serve daemon.
+//! Crash-consistency for the serve daemon and the CLI's `supervise`
+//! sweep, which share these files through `powerchop_serve::durability`.
 //!
 //! A `kill -9` of `powerchop-serve` must not destroy the daemon's
 //! warmed-up economy: accepted requests, partially-computed sweeps and

@@ -1,36 +1,37 @@
-//! Serve-side crash-consistency glue over `powerchop-durable`.
+//! Crash-consistency glue over `powerchop-durable`, shared by the serve
+//! daemon and the CLI's `supervise` sweep.
 //!
-//! The daemon's durability story has three legs, all optional and all
-//! switched on by `--journal-dir` / `--cache-dir`:
+//! Both callers keep one on-disk format in one directory:
 //!
-//! - accepted `run`/`sweep` requests are journaled as [`Record::Intent`]
-//!   *before* dispatch and retired with [`Record::Done`] once the client
-//!   has its reply, so a `kill -9` can never silently drop accepted
-//!   work;
+//! - each owed run (a serve `run`/`sweep` request, a supervised
+//!   benchmark) is journaled as a [`Record::Intent`] *before* its first
+//!   attempt and retired with [`Record::Done`] once it has settled, so a
+//!   `kill -9` can never silently drop accepted work;
 //! - in-flight runs spill a `Simulation::snapshot` every
-//!   [`Durability::spill_every`] retired instructions (atomic
-//!   temp-file-then-rename, then a journaled [`Record::Spill`] marker),
-//!   so the restarted daemon resumes from the last durable chunk with
-//!   zero re-done chunks;
-//! - cached replies are written through to a [`CacheLog`] so cache hits
-//!   survive the restart bit-identically.
+//!   [`Durability::spill_every`] retired instructions through
+//!   [`SpillPlan::spill`] (atomic temp-file-then-rename, then a
+//!   journaled [`Record::Spill`] marker), so the next boot resumes from
+//!   the last durable chunk with zero re-done chunks;
+//! - finished reports are written through to a [`CacheLog`] under their
+//!   run key, so a restart answers them again bit-identically.
 //!
 //! This module owns the boot-time replay (journal + cache log,
 //! compacting both), the typed [`RecoveryState`] that the `health` op
 //! and the Prometheus counters report, and the spec <-> journal-record
-//! conversions. The recovery *driver* — re-dispatching pending intents
-//! onto the worker pool as loop-owned batches — lives in
+//! conversions. The serve recovery *driver* — re-dispatching pending
+//! intents onto the worker pool as loop-owned batches — lives in
 //! [`crate::server`], which owns the pool.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use powerchop::{ManagerKind, SnapshotMeta};
+use powerchop::{ManagerKind, RunConfig, SimError, Simulation, SnapshotMeta};
 use powerchop_durable::{
     compact, compact_results, journal_path, replay, replay_results, results_path, spill_path,
     CacheLog, Journal, PendingIntent, Record, SpecRecord,
 };
+use powerchop_gisa::Program;
 
 use crate::cache::ResultCache;
 use crate::protocol::RunSpec;
@@ -73,19 +74,19 @@ pub(crate) struct RecoveryState {
     pub active: AtomicBool,
 }
 
-/// The durable half of the daemon: journal handle, optional cache log,
-/// spill policy and the recovery ledger.
+/// The durable half of a sweep or daemon: journal handle, optional
+/// cache log, spill policy and the recovery ledger.
 #[derive(Debug)]
-pub(crate) struct Durability {
+pub struct Durability {
     journal: Mutex<Journal>,
     /// Journal directory; spill files live beside the journal.
-    pub dir: PathBuf,
+    dir: PathBuf,
     cache_log: Option<Mutex<CacheLog>>,
     /// Retired-instruction interval between checkpoint spills.
     pub spill_every: u64,
     next_id: AtomicU64,
     /// The boot-time recovery report plus live resume counters.
-    pub recovery: RecoveryState,
+    pub(crate) recovery: RecoveryState,
 }
 
 impl Durability {
@@ -98,13 +99,14 @@ impl Durability {
     /// a full disk degrades durability, never availability.
     fn append(&self, record: &Record) {
         if let Err(e) = lock(&self.journal).append(record) {
-            eprintln!("powerchop-serve: journal append failed: {e}");
+            eprintln!("powerchop-durable: journal append failed: {e}");
         }
     }
 
-    /// Journals an accepted request before dispatch. `trace` is the
-    /// request's trace id, so a crash-recovery resume of this intent
-    /// stays attributable to the request that asked for it.
+    /// Journals owed work before its first attempt. `trace` is the
+    /// request's trace id (zero when untraced), so a crash-recovery
+    /// resume of this intent stays attributable to the request that
+    /// asked for it.
     pub fn journal_intent(&self, id: u64, trace: u64, specs: &[RunSpec]) {
         self.append(&Record::Intent {
             id,
@@ -122,7 +124,7 @@ impl Durability {
         });
     }
 
-    /// Retires an intent once the client has its reply: journals its
+    /// Retires an intent once nothing more is owed on it: journals its
     /// `Done`, then removes its spill checkpoints (best effort — an
     /// orphaned spill is garbage, not corruption).
     pub fn retire<'a>(&self, id: u64, benches: impl IntoIterator<Item = &'a str>) {
@@ -137,22 +139,23 @@ impl Durability {
         spill_path(&self.dir, id, bench)
     }
 
-    /// Writes a cached reply through to the persistent cache log.
+    /// Writes a finished run's reply through to the result log under
+    /// its run key.
     pub fn record_cache_put(&self, key: u128, reply: &str) {
         if let Some(log) = &self.cache_log {
             if let Err(e) = lock(log).append(key, reply) {
-                eprintln!("powerchop-serve: cache log append failed: {e}");
+                eprintln!("powerchop-durable: cache log append failed: {e}");
             }
         }
     }
 }
 
-/// A dispatched run's spill/resume instructions, carried into the pool
-/// job. `resume_from` is the last *journaled* spill point when this is
-/// a boot-time resume; `recovery` switches the resumed/redone
-/// accounting on.
+/// One journaled run's spill/resume instructions: a serve pool job or a
+/// supervised benchmark carries one. `resume_from` is the last
+/// *journaled* spill point when this resumes a pending intent;
+/// `recovery` switches serve's resumed/redone accounting on.
 #[derive(Debug, Clone)]
-pub(crate) struct SpillPlan {
+pub struct SpillPlan {
     /// Shared durability handle (journal + counters).
     pub durability: Arc<Durability>,
     /// The intent this run belongs to.
@@ -184,10 +187,36 @@ impl SpillPlan {
             storm: self.spec.storm,
         }
     }
+
+    /// Spills one checkpoint: atomic file write first, journal marker
+    /// second. A failed write skips the marker — better to re-do a chunk
+    /// on the next boot than to journal a checkpoint that does not exist.
+    pub fn spill(&self, sim: &mut Simulation<'_>) {
+        let bytes = sim.snapshot(&self.meta());
+        match powerchop_durable::write_atomic(&self.path(), &bytes) {
+            Ok(()) => self
+                .durability
+                .journal_spill(self.id, &self.spec.bench, sim.retired()),
+            Err(e) => eprintln!("powerchop-durable: checkpoint spill failed: {e}"),
+        }
+    }
+
+    /// Restores this run from its spill checkpoint: `None` when no spill
+    /// is on disk, an error (never a panic) when the spill is corrupt or
+    /// was taken under another configuration.
+    pub fn restore<'p>(
+        &self,
+        program: &'p Program,
+        kind: ManagerKind,
+        cfg: &RunConfig,
+    ) -> Option<Result<Simulation<'p>, SimError>> {
+        let bytes = std::fs::read(self.path()).ok()?;
+        Some(Simulation::restore(program, kind, cfg, &bytes))
+    }
 }
 
-/// Everything `Server::bind` needs back from boot-time recovery.
-pub(crate) struct Boot {
+/// Everything a caller needs back from boot-time recovery.
+pub struct Boot {
     /// The live durability handle for the daemon's state.
     pub durability: Arc<Durability>,
     /// Intents to resume, in journal order.
@@ -203,7 +232,7 @@ pub(crate) struct Boot {
 ///
 /// Propagates real filesystem failures (a corrupt or torn *content* is
 /// recovered from, never an error).
-pub(crate) fn boot(
+pub fn boot(
     journal_dir: &Path,
     cache_dir: Option<&Path>,
     spill_every: u64,
@@ -266,7 +295,7 @@ pub(crate) fn boot(
 
 /// The CLI-argument spelling of a manager, as embedded in snapshot
 /// metadata (`powerchop::manager_kind_by_name` accepts every one).
-pub(crate) fn manager_label(kind: ManagerKind) -> &'static str {
+pub fn manager_label(kind: ManagerKind) -> &'static str {
     match kind {
         ManagerKind::PowerChop => "powerchop",
         ManagerKind::FullPower => "full",
@@ -277,7 +306,7 @@ pub(crate) fn manager_label(kind: ManagerKind) -> &'static str {
 }
 
 /// Encodes a validated spec as its journal form.
-pub(crate) fn spec_to_record(spec: &RunSpec) -> SpecRecord {
+pub fn spec_to_record(spec: &RunSpec) -> SpecRecord {
     let (manager_tag, manager_param) = match spec.manager {
         ManagerKind::PowerChop => (0, 0),
         ManagerKind::FullPower => (1, 0),

@@ -30,7 +30,8 @@
 //! - [`json`] — strict RFC 8259 request parsing (reader side).
 //! - [`protocol`] — request validation and reply rendering.
 //! - [`cache`] — the sharded LRU result cache.
-//! - `durability` — journal/spill/cache-log glue over `powerchop-durable`.
+//! - [`durability`] — journal/spill/result-log glue over
+//!   `powerchop-durable`, shared with the CLI's `supervise` sweep.
 //! - [`net`] — raw epoll/eventfd syscall wrappers (the only unsafe code).
 //! - [`wheel`] — the timing wheel behind read/write deadlines.
 //! - [`server`] — the epoll event loop, dispatch, drain.
@@ -46,7 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-mod durability;
+pub mod durability;
 pub mod json;
 pub mod net;
 pub mod protocol;

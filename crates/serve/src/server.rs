@@ -87,7 +87,7 @@ use crate::report::report_to_json;
 use crate::wheel::TimerWheel;
 
 /// Everything that shapes a daemon instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Address to bind (`host:port`; port 0 picks a free port).
     pub addr: String,
@@ -2073,7 +2073,7 @@ fn run_until(
         // its spill with it: checkpoint only work still in progress.
         if let (Some(plan), false) = (plan, sim.is_done()) {
             if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
-                spill_now(&mut sim, plan);
+                plan.spill(&mut sim);
                 last_spill = sim.retired();
             }
         }
@@ -2107,9 +2107,7 @@ fn restore_or_new<'p>(
     let Some(plan) = plan.filter(|p| p.recovery) else {
         return fresh();
     };
-    let restored = std::fs::read(plan.path())
-        .ok()
-        .and_then(|bytes| Simulation::restore(program, *kind, cfg, &bytes).ok());
+    let restored = plan.restore(program, *kind, cfg).and_then(Result::ok);
     let resumed = restored.as_ref().map_or(0, Simulation::retired);
     let promised = plan.resume_from.unwrap_or(0);
     let ledger = &plan.durability.recovery;
@@ -2120,19 +2118,6 @@ fn restore_or_new<'p>(
         .redone_instructions
         .fetch_add(promised.saturating_sub(resumed), Ordering::SeqCst);
     restored.map_or_else(fresh, Ok)
-}
-
-/// Spills one checkpoint: atomic file write first, journal marker
-/// second. A failed write skips the marker — better to re-do a chunk on
-/// the next boot than to journal a checkpoint that does not exist.
-fn spill_now(sim: &mut Simulation<'_>, plan: &SpillPlan) {
-    let bytes = sim.snapshot(&plan.meta());
-    match powerchop_durable::write_atomic(&plan.path(), &bytes) {
-        Ok(()) => plan
-            .durability
-            .journal_spill(plan.id, &plan.spec.bench, sim.retired()),
-        Err(e) => eprintln!("powerchop-serve: checkpoint spill failed: {e}"),
-    }
 }
 
 /// A row's completion callback, on the worker that ran it: folds the
