@@ -19,13 +19,24 @@ fn main() {
     );
     let mut rows = Vec::new();
     let (mut chop_leak, mut drowsy_leak) = (Vec::new(), Vec::new());
-    for name in ["gems", "libquantum", "hmmer", "astar", "streamcluster", "msn"] {
+    for name in [
+        "gems",
+        "libquantum",
+        "hmmer",
+        "astar",
+        "streamcluster",
+        "msn",
+    ] {
         let b = powerchop_workloads::by_name(name).expect("subset exists");
         let full = run(b, ManagerKind::FullPower);
-        let chop = run_with(b, ManagerKind::PowerChop, |c| c.chop.managed = ManagedSet::MLC_ONLY);
+        let chop = run_with(b, ManagerKind::PowerChop, |c| {
+            c.chop.managed = ManagedSet::MLC_ONLY
+        });
         let drowsy = run(
             b,
-            ManagerKind::DrowsyMlc { period_cycles: DrowsyMlcManager::DEFAULT_PERIOD_CYCLES },
+            ManagerKind::DrowsyMlc {
+                period_cycles: DrowsyMlcManager::DEFAULT_PERIOD_CYCLES,
+            },
         );
         let cs = 100.0 * chop.slowdown_vs(&full);
         let ds = 100.0 * drowsy.slowdown_vs(&full);

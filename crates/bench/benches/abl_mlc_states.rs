@@ -25,14 +25,27 @@ fn main() {
     for b in &subset {
         let full = run(b, ManagerKind::FullPower);
         let three = run(b, ManagerKind::PowerChop);
-        let four = run_with(b, ManagerKind::PowerChop, |c| c.chop.extended_mlc_states = true);
+        let four = run_with(b, ManagerKind::PowerChop, |c| {
+            c.chop.extended_mlc_states = true
+        });
         let s3 = 100.0 * three.slowdown_vs(&full);
         let k3 = 100.0 * three.leakage_reduction_vs(&full);
         let s4 = 100.0 * four.slowdown_vs(&full);
         let k4 = 100.0 * four.leakage_reduction_vs(&full);
         let q = 100.0 * four.gated.mlc_quarter as f64 / four.gated.total.max(1) as f64;
-        println!("{:<10} {:>10.1} {:>9.1} {:>10.1} {:>9.1} {:>9.1}", b.name(), s3, k3, s4, k4, q);
-        rows.push(format!("{},{s3:.2},{k3:.2},{s4:.2},{k4:.2},{q:.2}", b.name()));
+        println!(
+            "{:<10} {:>10.1} {:>9.1} {:>10.1} {:>9.1} {:>9.1}",
+            b.name(),
+            s3,
+            k3,
+            s4,
+            k4,
+            q
+        );
+        rows.push(format!(
+            "{},{s3:.2},{k3:.2},{s4:.2},{k4:.2},{q:.2}",
+            b.name()
+        ));
         l3.push(k3);
         l4.push(k4);
     }

@@ -59,6 +59,10 @@ fn main() {
             mean(&phases)
         ));
     }
-    write_csv("abl_phase_params", "sig_len,window,slowdown_pct,leak_pct,switches_per_mcyc,phases", &rows);
+    write_csv(
+        "abl_phase_params",
+        "sig_len,window,slowdown_pct,leak_pct,switches_per_mcyc,phases",
+        &rows,
+    );
     println!("\nthe paper's (N=4, window=1000) point balances stability and reactivity");
 }

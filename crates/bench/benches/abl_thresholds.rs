@@ -15,7 +15,10 @@ fn main() {
         .map(|n| powerchop_workloads::by_name(n).expect("subset exists"))
         .collect();
 
-    println!("{:>8} {:>10} {:>9} {:>9}", "scale", "slowdown%", "power-%", "leak-%");
+    println!(
+        "{:>8} {:>10} {:>9} {:>9}",
+        "scale", "slowdown%", "power-%", "leak-%"
+    );
     let mut rows = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0, 16.0] {
         let (mut slow, mut power, mut leak) = (vec![], vec![], vec![]);
@@ -38,8 +41,17 @@ fn main() {
             mean(&power),
             mean(&leak)
         );
-        rows.push(format!("{mult},{:.2},{:.2},{:.2}", mean(&slow), mean(&power), mean(&leak)));
+        rows.push(format!(
+            "{mult},{:.2},{:.2},{:.2}",
+            mean(&slow),
+            mean(&power),
+            mean(&leak)
+        ));
     }
-    write_csv("abl_thresholds", "multiplier,slowdown_pct,power_pct,leak_pct", &rows);
+    write_csv(
+        "abl_thresholds",
+        "multiplier,slowdown_pct,power_pct,leak_pct",
+        &rows,
+    );
     println!("\nhigher thresholds trade performance for power (energy-minimizing policies)");
 }

@@ -45,5 +45,8 @@ fn main() {
         100.0 * dense as f64 / shards.len() as f64,
     );
     println!("expected shape: alternating dense-vector and scalar stretches");
-    assert!(dense > 0 && zero > 0, "gobmk must alternate vector intensity");
+    assert!(
+        dense > 0 && zero > 0,
+        "gobmk must alternate vector intensity"
+    );
 }

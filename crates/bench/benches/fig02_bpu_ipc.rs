@@ -18,7 +18,10 @@ fn main() {
 
     let n = large.len().min(small.len());
     let mut rows = Vec::new();
-    println!("{:>6} {:>10} {:>10} {:>8}", "Minst", "large-IPC", "small-IPC", "gain%");
+    println!(
+        "{:>6} {:>10} {:>10} {:>8}",
+        "Minst", "large-IPC", "small-IPC", "gain%"
+    );
     let mut gains = Vec::new();
     for i in 0..n {
         let gain = 100.0 * (large[i] / small[i] - 1.0);

@@ -20,7 +20,10 @@ fn main() {
 
     let n = full.len().min(one.len());
     let mut rows = Vec::new();
-    println!("{:>6} {:>10} {:>10} {:>8}", "Minst", "8way-IPC", "1way-IPC", "gain%");
+    println!(
+        "{:>6} {:>10} {:>10} {:>8}",
+        "Minst", "8way-IPC", "1way-IPC", "gain%"
+    );
     let mut gains = Vec::new();
     for i in 0..n {
         let gain = 100.0 * (full[i] / one[i] - 1.0);
@@ -45,9 +48,10 @@ fn main() {
     );
     let big_gain = gains.iter().filter(|g| **g > 20.0).count();
     let no_gain = gains.iter().filter(|g| **g < 2.0).count();
-    println!(
-        "intervals with >20% benefit: {big_gain}/{n}; with <2% benefit: {no_gain}/{n}"
+    println!("intervals with >20% benefit: {big_gain}/{n}; with <2% benefit: {no_gain}/{n}");
+    assert!(
+        big_gain > 0,
+        "MLC-resident phases must benefit from the full MLC"
     );
-    assert!(big_gain > 0, "MLC-resident phases must benefit from the full MLC");
     assert!(no_gain > 0, "L1-resident/streaming phases must not");
 }

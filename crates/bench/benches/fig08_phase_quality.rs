@@ -9,7 +9,10 @@ use powerchop::ManagerKind;
 use powerchop_bench::{banner, mean, run_with, write_csv};
 
 /// Manhattan distance between two sparse translation-count vectors.
-fn manhattan(a: &[(powerchop_bt::TranslationId, u64)], b: &[(powerchop_bt::TranslationId, u64)]) -> u64 {
+fn manhattan(
+    a: &[(powerchop_bt::TranslationId, u64)],
+    b: &[(powerchop_bt::TranslationId, u64)],
+) -> u64 {
     let mut dist = 0u64;
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
@@ -47,7 +50,10 @@ fn main() {
         "avg Manhattan distance 2.8% (28/1000 translations), max 6.8%; \
          97.8% of translations identical on average",
     );
-    println!("{:<14} {:>10} {:>12} {:>12}", "bench", "windows", "avg-dist%", "identical%");
+    println!(
+        "{:<14} {:>10} {:>12} {:>12}",
+        "bench", "windows", "avg-dist%", "identical%"
+    );
     let mut rows = Vec::new();
     let mut all_avgs = Vec::new();
     for b in powerchop_workloads::all() {
@@ -73,13 +79,34 @@ fn main() {
         let avg_pct = mean(&dists) / 2.0 / 10.0;
         let identical = 100.0 - avg_pct;
         all_avgs.push(avg_pct);
-        println!("{:<14} {:>10} {:>12.2} {:>12.2}", b.name(), report.windows.len(), avg_pct, identical);
-        rows.push(format!("{},{},{:.3}", b.name(), report.windows.len(), avg_pct));
+        println!(
+            "{:<14} {:>10} {:>12.2} {:>12.2}",
+            b.name(),
+            report.windows.len(),
+            avg_pct,
+            identical
+        );
+        rows.push(format!(
+            "{},{},{:.3}",
+            b.name(),
+            report.windows.len(),
+            avg_pct
+        ));
     }
-    write_csv("fig08_phase_quality", "bench,windows,avg_manhattan_pct", &rows);
+    write_csv(
+        "fig08_phase_quality",
+        "bench,windows,avg_manhattan_pct",
+        &rows,
+    );
     let overall = mean(&all_avgs);
     let worst = all_avgs.iter().cloned().fold(0.0f64, f64::max);
     println!("\naverage distance {overall:.2}% (paper: 2.8%), worst {worst:.2}% (paper: 6.8%)");
-    println!("average identical translations {:.1}% (paper: 97.8%)", 100.0 - overall);
-    assert!(overall < 15.0, "same-signature windows must execute similar code");
+    println!(
+        "average identical translations {:.1}% (paper: 97.8%)",
+        100.0 - overall
+    );
+    assert!(
+        overall < 15.0,
+        "same-signature windows must execute similar code"
+    );
 }

@@ -11,7 +11,10 @@ fn main() {
         "Figure 11 — unit state changes per million cycles",
         "averages: BPU < 50, VPU < 10, MLC < 5 switches per Mcycle",
     );
-    println!("{:<14} {:>9} {:>9} {:>9}", "bench", "VPU/Mcyc", "BPU/Mcyc", "MLC/Mcyc");
+    println!(
+        "{:<14} {:>9} {:>9} {:>9}",
+        "bench", "VPU/Mcyc", "BPU/Mcyc", "MLC/Mcyc"
+    );
     let mut rows = Vec::new();
     let (mut v, mut p, mut m) = (Vec::new(), Vec::new(), Vec::new());
     for b in powerchop_workloads::all() {
@@ -25,7 +28,11 @@ fn main() {
         p.push(bpu);
         m.push(mlc);
     }
-    write_csv("fig11_switch_frequency", "bench,vpu_per_mcyc,bpu_per_mcyc,mlc_per_mcyc", &rows);
+    write_csv(
+        "fig11_switch_frequency",
+        "bench,vpu_per_mcyc,bpu_per_mcyc,mlc_per_mcyc",
+        &rows,
+    );
     println!(
         "\naverages: VPU {:.1} (paper <10), BPU {:.1} (paper <50), MLC {:.1} (paper <5)",
         mean(&v),

@@ -10,7 +10,10 @@ fn main() {
         "Figure 12 — performance: full vs PowerChop vs minimal",
         "PowerChop loses 2.2% on average; minimal power loses ~84%",
     );
-    println!("{:<14} {:>9} {:>10} {:>10} {:>10}", "bench", "full-IPC", "chop-IPC", "chop-slow%", "min-slow%");
+    println!(
+        "{:<14} {:>9} {:>10} {:>10} {:>10}",
+        "bench", "full-IPC", "chop-IPC", "chop-slow%", "min-slow%"
+    );
     let mut rows = Vec::new();
     let (mut chop_slow, mut min_slow) = (Vec::new(), Vec::new());
     let benches: Vec<&powerchop_workloads::Benchmark> = powerchop_workloads::all().iter().collect();
@@ -27,13 +30,27 @@ fn main() {
         let ms = 100.0 * min.slowdown_vs(&full);
         println!(
             "{:<14} {:>9.3} {:>10.3} {:>10.1} {:>10.1}",
-            b.name(), full.ipc(), chop.ipc(), cs, ms
+            b.name(),
+            full.ipc(),
+            chop.ipc(),
+            cs,
+            ms
         );
-        rows.push(format!("{},{:.4},{:.4},{:.4},{cs:.2},{ms:.2}", b.name(), full.ipc(), chop.ipc(), min.ipc()));
+        rows.push(format!(
+            "{},{:.4},{:.4},{:.4},{cs:.2},{ms:.2}",
+            b.name(),
+            full.ipc(),
+            chop.ipc(),
+            min.ipc()
+        ));
         chop_slow.push(cs);
         min_slow.push(ms);
     }
-    write_csv("fig12_performance", "bench,full_ipc,chop_ipc,min_ipc,chop_slowdown,min_slowdown", &rows);
+    write_csv(
+        "fig12_performance",
+        "bench,full_ipc,chop_ipc,min_ipc,chop_slowdown,min_slowdown",
+        &rows,
+    );
     println!(
         "\naverage slowdown: PowerChop {:.1}% (paper 2.2%), minimal {:.1}% (paper ~84%... \
          shape: minimal must be drastically worse)",

@@ -12,7 +12,10 @@ fn main() {
         "SPEC-INT 10%, SPEC-FP 6%, PARSEC 8%, MobileBench 19%; up to 40% \
          power / 37% energy per app; >10% power on 13/29 apps",
     );
-    println!("{:<14} {:>10} {:>9} {:>10}", "bench", "suite", "power-%", "energy-%");
+    println!(
+        "{:<14} {:>10} {:>9} {:>10}",
+        "bench", "suite", "power-%", "energy-%"
+    );
     let mut rows = Vec::new();
     let mut per_suite: Vec<(String, Vec<f64>)> = Vec::new();
     let mut all_power = Vec::new();
@@ -23,12 +26,21 @@ fn main() {
             powerchop_workloads::suite(suite).collect();
         let reports = sweep(&benches, |b| {
             let b = *b;
-            (run(b, ManagerKind::FullPower), run(b, ManagerKind::PowerChop))
+            (
+                run(b, ManagerKind::FullPower),
+                run(b, ManagerKind::PowerChop),
+            )
         });
         for (b, (full, chop)) in benches.iter().zip(reports) {
             let power = 100.0 * chop.power_reduction_vs(&full);
             let energy = 100.0 * chop.energy_reduction_vs(&full);
-            println!("{:<14} {:>10} {:>9.1} {:>10.1}", b.name(), suite.to_string(), power, energy);
+            println!(
+                "{:<14} {:>10} {:>9.1} {:>10.1}",
+                b.name(),
+                suite.to_string(),
+                power,
+                energy
+            );
             rows.push(format!("{},{suite},{power:.2},{energy:.2}", b.name()));
             suite_power.push(power);
             all_power.push(power);
@@ -36,7 +48,11 @@ fn main() {
         }
         per_suite.push((suite.to_string(), suite_power));
     }
-    write_csv("fig13_power_energy", "bench,suite,power_reduction_pct,energy_reduction_pct", &rows);
+    write_csv(
+        "fig13_power_energy",
+        "bench,suite,power_reduction_pct,energy_reduction_pct",
+        &rows,
+    );
     println!("\nper-suite average total power reduction:");
     for (name, vals) in &per_suite {
         println!("  {:<12} {:>5.1}%", name, mean(vals));
@@ -50,6 +66,9 @@ fn main() {
     );
     let mobile = &per_suite[3].1;
     let fp = &per_suite[1].1;
-    assert!(mean(mobile) > mean(fp), "MobileBench must see the largest reductions");
+    assert!(
+        mean(mobile) > mean(fp),
+        "MobileBench must see the largest reductions"
+    );
     assert!(over10 >= 8, "a large set of apps must see >10% reductions");
 }

@@ -20,7 +20,10 @@ fn main() {
             powerchop_workloads::suite(suite).collect();
         let reports = sweep(&benches, |b| {
             let b = *b;
-            (run(b, ManagerKind::FullPower), run(b, ManagerKind::PowerChop))
+            (
+                run(b, ManagerKind::FullPower),
+                run(b, ManagerKind::PowerChop),
+            )
         });
         for (b, (full, chop)) in benches.iter().zip(reports) {
             let leak = 100.0 * chop.leakage_reduction_vs(&full);
@@ -42,6 +45,12 @@ fn main() {
     let mobile = mean(&per_suite[3].1);
     let fp = mean(&per_suite[1].1);
     assert!(mobile > 15.0, "MobileBench leakage reduction out of band");
-    assert!(mobile > fp * 0.9, "mobile must be among the largest reductions");
-    assert!(max <= 75.0, "reduction cannot exceed the gateable leakage share");
+    assert!(
+        mobile > fp * 0.9,
+        "mobile must be among the largest reductions"
+    );
+    assert!(
+        max <= 75.0,
+        "reduction cannot exceed the gateable leakage share"
+    );
 }

@@ -12,7 +12,10 @@ fn main() {
         "several apps have many shards with 0 < V <= 4 — scarce-but-nonzero \
          vector use, uniformly spread",
     );
-    println!("{:<14} {:>8} {:>9} {:>8}", "bench", "V=0 %", "0<V<=4 %", "V>4 %");
+    println!(
+        "{:<14} {:>8} {:>9} {:>8}",
+        "bench", "V=0 %", "0<V<=4 %", "V>4 %"
+    );
     let mut rows = Vec::new();
     let budget = powerchop::system::default_budget().min(4_000_000);
     let mut sparse_apps = Vec::new();
@@ -26,14 +29,27 @@ fn main() {
         let zero = shards.iter().filter(|v| **v == 0).count() as f64 / n * 100.0;
         let sparse = shards.iter().filter(|v| (1..=4).contains(*v)).count() as f64 / n * 100.0;
         let dense = 100.0 - zero - sparse;
-        println!("{:<14} {:>8.1} {:>9.1} {:>8.1}", b.name(), zero, sparse, dense);
+        println!(
+            "{:<14} {:>8.1} {:>9.1} {:>8.1}",
+            b.name(),
+            zero,
+            sparse,
+            dense
+        );
         rows.push(format!("{},{zero:.2},{sparse:.2},{dense:.2}", b.name()));
         if sparse > 10.0 {
             sparse_apps.push(b.name());
         }
     }
-    write_csv("fig15_vector_prevalence", "bench,v0_pct,v1_4_pct,v_gt4_pct", &rows);
+    write_csv(
+        "fig15_vector_prevalence",
+        "bench,v0_pct,v1_4_pct,v_gt4_pct",
+        &rows,
+    );
     println!("\napps with >10% sparse-vector shards: {sparse_apps:?}");
     println!("paper highlights namd-style uniform sparse vector use");
-    assert!(sparse_apps.contains(&"namd"), "namd must show sparse uniform vector use");
+    assert!(
+        sparse_apps.contains(&"namd"),
+        "namd must show sparse uniform vector use"
+    );
 }

@@ -14,11 +14,16 @@ fn main() {
         "Figure 16 — VPU gated-off cycles: PowerChop vs 20K-cycle timeout",
         "PowerChop >= timeout everywhere; immense wins on namd, perlbench, h264",
     );
-    println!("{:<14} {:>10} {:>10} {:>8}", "bench", "chop-off%", "tmo-off%", "delta");
+    println!(
+        "{:<14} {:>10} {:>10} {:>8}",
+        "bench", "chop-off%", "tmo-off%", "delta"
+    );
     let mut rows = Vec::new();
     let (mut chop_all, mut tmo_all) = (Vec::new(), Vec::new());
     for b in powerchop_bench::benchmarks_for(CoreKind::Server) {
-        let chop = run_with(b, ManagerKind::PowerChop, |c| c.chop.managed = ManagedSet::VPU_ONLY);
+        let chop = run_with(b, ManagerKind::PowerChop, |c| {
+            c.chop.managed = ManagedSet::VPU_ONLY
+        });
         let tmo = run_with(
             b,
             ManagerKind::TimeoutVpu {
@@ -33,7 +38,11 @@ fn main() {
         chop_all.push(c);
         tmo_all.push(t);
     }
-    write_csv("fig16_vpu_vs_timeout", "bench,powerchop_off_pct,timeout_off_pct", &rows);
+    write_csv(
+        "fig16_vpu_vs_timeout",
+        "bench,powerchop_off_pct,timeout_off_pct",
+        &rows,
+    );
     println!(
         "\naverage VPU gated-off: PowerChop {:.0}% vs timeout {:.0}%",
         mean(&chop_all),
@@ -51,5 +60,8 @@ fn main() {
         chop_all[namd_idx] > tmo_all[namd_idx] + 40.0,
         "namd must show the immense PowerChop-vs-timeout gap"
     );
-    assert!(mean(&chop_all) >= mean(&tmo_all), "PowerChop gates at least as much overall");
+    assert!(
+        mean(&chop_all) >= mean(&tmo_all),
+        "PowerChop gates at least as much overall"
+    );
 }

@@ -4,11 +4,18 @@ use powerchop_bench::banner;
 use powerchop_uarch::config::CoreConfig;
 
 fn main() {
-    banner("Table I — architectural design points", "server (Nehalem-like) and mobile (Cortex-A9-like)");
+    banner(
+        "Table I — architectural design points",
+        "server (Nehalem-like) and mobile (Cortex-A9-like)",
+    );
     for cfg in [CoreConfig::server(), CoreConfig::mobile()] {
         println!("{} core:", cfg.kind);
         println!("  issue width        : {}", cfg.issue_width);
-        println!("  SIMD lanes (VPU)   : {}-wide, {:.0}% of core area", cfg.simd_lanes, 100.0 * cfg.area.vpu);
+        println!(
+            "  SIMD lanes (VPU)   : {}-wide, {:.0}% of core area",
+            cfg.simd_lanes,
+            100.0 * cfg.area.vpu
+        );
         println!(
             "  MLC                : {} KiB, {}-way ({} sets), {:.0}% of core area; gated to {} KiB 4-way or {} KiB 1-way",
             cfg.mlc.size_kib,

@@ -15,15 +15,30 @@ fn main() {
     let pvt = PolicyVectorTable::paper_default();
     let htb_cost = SramCost::fully_associative(htb.storage_bytes());
     let pvt_cost = SramCost::fully_associative(pvt.storage_bytes());
-    println!("{:<6} {:>8} {:>10} {:>10}", "unit", "bytes", "power(W)", "area(mm2)");
-    println!("{:<6} {:>8} {:>10.4} {:>10.4}", "HTB", htb_cost.bytes, htb_cost.power_w, htb_cost.area_mm2);
-    println!("{:<6} {:>8} {:>10.4} {:>10.4}", "PVT", pvt_cost.bytes, pvt_cost.power_w, pvt_cost.area_mm2);
+    println!(
+        "{:<6} {:>8} {:>10} {:>10}",
+        "unit", "bytes", "power(W)", "area(mm2)"
+    );
+    println!(
+        "{:<6} {:>8} {:>10.4} {:>10.4}",
+        "HTB", htb_cost.bytes, htb_cost.power_w, htb_cost.area_mm2
+    );
+    println!(
+        "{:<6} {:>8} {:>10.4} {:>10.4}",
+        "PVT", pvt_cost.bytes, pvt_cost.power_w, pvt_cost.area_mm2
+    );
     write_csv(
         "tab_hw_cost",
         "unit,bytes,power_w,area_mm2",
         &[
-            format!("HTB,{},{:.5},{:.5}", htb_cost.bytes, htb_cost.power_w, htb_cost.area_mm2),
-            format!("PVT,{},{:.5},{:.5}", pvt_cost.bytes, pvt_cost.power_w, pvt_cost.area_mm2),
+            format!(
+                "HTB,{},{:.5},{:.5}",
+                htb_cost.bytes, htb_cost.power_w, htb_cost.area_mm2
+            ),
+            format!(
+                "PVT,{},{:.5},{:.5}",
+                pvt_cost.bytes, pvt_cost.power_w, pvt_cost.area_mm2
+            ),
         ],
     );
     assert_eq!(htb_cost.bytes, 1024, "HTB is 1 KiB (paper)");

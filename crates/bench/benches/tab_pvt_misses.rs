@@ -11,11 +11,14 @@ fn main() {
         "PVT miss rate and CDE overhead (paper §IV-C3)",
         "0.017% of translations miss the PVT; <0.5% overhead on average",
     );
-    println!("{:<14} {:>12} {:>10} {:>12}", "bench", "translations", "misses", "miss%/ovhd%");
+    println!(
+        "{:<14} {:>12} {:>10} {:>12}",
+        "bench", "translations", "misses", "miss%/ovhd%"
+    );
     let mut rows = Vec::new();
     let (mut rates, mut overheads) = (Vec::new(), Vec::new());
-    let spec = powerchop_workloads::suite(Suite::SpecInt)
-        .chain(powerchop_workloads::suite(Suite::SpecFp));
+    let spec =
+        powerchop_workloads::suite(Suite::SpecInt).chain(powerchop_workloads::suite(Suite::SpecFp));
     for b in spec {
         let r = run(b, ManagerKind::PowerChop);
         let pvt = r.pvt.expect("powerchop run has a PVT");
@@ -24,13 +27,26 @@ fn main() {
         let overhead = 100.0 * r.nucleus.handler_cycles as f64 / r.cycles.max(1) as f64;
         println!(
             "{:<14} {:>12} {:>10} {:>7.4} {:>5.2}",
-            b.name(), translations, pvt.misses(), rate, overhead
+            b.name(),
+            translations,
+            pvt.misses(),
+            rate,
+            overhead
         );
-        rows.push(format!("{},{},{},{rate:.5},{overhead:.4}", b.name(), translations, pvt.misses()));
+        rows.push(format!(
+            "{},{},{},{rate:.5},{overhead:.4}",
+            b.name(),
+            translations,
+            pvt.misses()
+        ));
         rates.push(rate);
         overheads.push(overhead);
     }
-    write_csv("tab_pvt_misses", "bench,translations,pvt_misses,miss_pct,overhead_pct", &rows);
+    write_csv(
+        "tab_pvt_misses",
+        "bench,translations,pvt_misses,miss_pct,overhead_pct",
+        &rows,
+    );
     println!(
         "\naverage miss rate {:.4}% of translations (paper 0.017%), CDE overhead {:.2}% (paper <0.5%)",
         mean(&rates),

@@ -8,14 +8,34 @@ use powerchop_bench::{run, run_with};
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<&str> = if names.is_empty() {
-        vec!["gobmk", "namd", "gems", "hmmer", "libquantum", "msn", "amazon", "lbm"]
+        vec![
+            "gobmk",
+            "namd",
+            "gems",
+            "hmmer",
+            "libquantum",
+            "msn",
+            "amazon",
+            "lbm",
+        ]
     } else {
         names.iter().map(|s| s.as_str()).collect()
     };
     println!(
         "{:<14} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>6} {:>7} {:>7}",
-        "bench", "Minst", "ipcF", "ipcC", "slow%", "pwr-%", "leak-%", "vpuOff", "bpuOff", "mlcGate",
-        "sw/Mc", "pvtMiss", "phases"
+        "bench",
+        "Minst",
+        "ipcF",
+        "ipcC",
+        "slow%",
+        "pwr-%",
+        "leak-%",
+        "vpuOff",
+        "bpuOff",
+        "mlcGate",
+        "sw/Mc",
+        "pvtMiss",
+        "phases"
     );
     for name in names {
         let b = powerchop_workloads::by_name(name).unwrap_or_else(|| panic!("unknown {name}"));

@@ -17,7 +17,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use powerchop::{ManagerKind, RunConfig, RunReport};
 use powerchop_uarch::config::CoreKind;
@@ -87,25 +87,12 @@ pub fn sweep<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T
         .collect()
 }
 
-/// The directory experiment CSVs are written to (`bench_results/` at the
-/// workspace root, creatable from any crate's working directory).
+/// The directory experiment CSVs are written to: `bench_results/` at the
+/// workspace root, two levels above this crate's manifest, whatever the
+/// working directory a bench target runs in.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    // Bench targets run with the crate as CWD; walk up to the workspace.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    for _ in 0..4 {
-        if dir.join("Cargo.toml").exists()
-            && fs::read_to_string(dir.join("Cargo.toml"))
-                .map(|s| s.contains("[workspace]"))
-                .unwrap_or(false)
-        {
-            break;
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    dir.join("bench_results")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
 }
 
 /// Writes an experiment's rows as CSV under `bench_results/<name>.csv`.
@@ -143,12 +130,19 @@ pub fn mean(values: &[f64]) -> f64 {
 /// Per-suite grouping order used across the paper's figures.
 #[must_use]
 pub fn suites() -> [Suite; 4] {
-    [Suite::SpecInt, Suite::SpecFp, Suite::Parsec, Suite::MobileBench]
+    [
+        Suite::SpecInt,
+        Suite::SpecFp,
+        Suite::Parsec,
+        Suite::MobileBench,
+    ]
 }
 
 /// All benchmarks of a given core kind.
 pub fn benchmarks_for(kind: CoreKind) -> impl Iterator<Item = &'static Benchmark> {
-    powerchop_workloads::all().iter().filter(move |b| b.core_kind() == kind)
+    powerchop_workloads::all()
+        .iter()
+        .filter(move |b| b.core_kind() == kind)
 }
 
 /// Architectural vector-operation counts per `shard`-instruction shard
@@ -243,6 +237,10 @@ mod tests {
     fn results_dir_is_under_workspace() {
         let d = results_dir();
         assert!(d.ends_with("bench_results"));
+        let root = d.parent().expect("bench_results has a parent");
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+        assert!(manifest.contains("[workspace]"), "{}", root.display());
+        assert!(root.join("crates").is_dir(), "{}", root.display());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use powerchop::{run_program, ManagerKind, RunConfig};
 use powerchop_faults::SimRng;
 use powerchop_resilience::chaos::{ChaosConfig, ChaosSchedule, ChaosStream};
 use powerchop_resilience::retry::stream_label;
+use powerchop_serve::json::Json;
 use powerchop_serve::{report_to_json, Server, ServerConfig};
 use powerchop_telemetry::validate_json;
 use powerchop_workloads::Scale;
@@ -402,18 +403,6 @@ fn hostile_client(
     }
 }
 
-/// Extracts `"name":<u64>` from a one-line JSON reply (the soak only
-/// reads numeric health fields, so a full parser is not needed).
-fn json_u64_field(text: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let at = text.find(&key)? + key.len();
-    let digits: String = text[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Reads the daemon's post-storm `health` report, waiting briefly for
 /// any in-flight worker respawn to land. Returns
 /// `(worker_respawns, breaker_trips, pool_gave_up)`.
@@ -425,9 +414,11 @@ fn final_health(addr: SocketAddr, expect_respawns: u64, c: &Counters) -> (u64, u
     loop {
         if let Ok(reply) = request_once(addr, r#"{"op":"health"}"#) {
             c.saw_reply(&reply);
-            respawns = json_u64_field(&reply, "worker_respawns").unwrap_or(0);
-            trips = json_u64_field(&reply, "breaker_trips").unwrap_or(0);
-            gave_up = reply.contains("\"pool_gave_up\":true");
+            let health = Json::parse(&reply).unwrap_or(Json::Null);
+            let field = |name| health.get(name).and_then(Json::as_u64).unwrap_or(0);
+            respawns = field("worker_respawns");
+            trips = field("breaker_trips");
+            gave_up = health.get("pool_gave_up").and_then(Json::as_bool) == Some(true);
             if respawns >= expect_respawns {
                 break;
             }
@@ -771,14 +762,15 @@ fn scrape_counter(addr: SocketAddr, name: &str) -> Option<u64> {
 }
 
 /// Polls the daemon's `health` op until boot-time recovery finishes,
-/// returning the final health reply line.
-fn await_recovery(addr: SocketAddr, c: &Counters) -> Option<String> {
+/// returning the final health reply.
+fn await_recovery(addr: SocketAddr, c: &Counters) -> Option<Json> {
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
         if let Ok(reply) = request_once(addr, r#"{"op":"health"}"#) {
             c.saw_reply(&reply);
-            if reply.contains("\"recovery_active\":false") {
-                return Some(reply);
+            let health = Json::parse(&reply).unwrap_or(Json::Null);
+            if health.get("recovery_active").and_then(Json::as_bool) == Some(false) {
+                return Some(health);
             }
         }
         if Instant::now() >= deadline {
@@ -892,11 +884,12 @@ pub fn run_crash_drill(opts: &SoakOpts) -> Result<CrashDrillReport, CliError> {
     // Final generation: boot, let recovery finish the sweep, then prove
     // the recovered state byte for byte.
     let daemon = DrillChild::spawn(&jdir, &cdir, budget)?;
-    let health = await_recovery(daemon.addr, &c).unwrap_or_default();
-    let journal_replayed = json_u64_field(&health, "journal_replayed").unwrap_or(0);
-    let resumed_instructions = json_u64_field(&health, "resumed_instructions").unwrap_or(0);
-    let redone_instructions = json_u64_field(&health, "redone_instructions").unwrap_or(u64::MAX);
-    let recovered_boot = health.contains("\"clean_boot\":false");
+    let health = await_recovery(daemon.addr, &c).unwrap_or(Json::Null);
+    let field = |name| health.get(name).and_then(Json::as_u64);
+    let journal_replayed = field("journal_replayed").unwrap_or(0);
+    let resumed_instructions = field("resumed_instructions").unwrap_or(0);
+    let redone_instructions = field("redone_instructions").unwrap_or(u64::MAX);
+    let recovered_boot = health.get("clean_boot").and_then(Json::as_bool) == Some(false);
     let final_sweep_identical = match request_once(daemon.addr, &sweep_request) {
         Ok(reply) => {
             c.saw_reply(&reply);
@@ -1023,15 +1016,6 @@ pub fn soak_cmd(opts: &SoakOpts) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_u64_field_extracts_numeric_fields() {
-        let line = r#"{"ok":true,"worker_respawns":3,"breaker_trips":0,"s":"x"}"#;
-        assert_eq!(json_u64_field(line, "worker_respawns"), Some(3));
-        assert_eq!(json_u64_field(line, "breaker_trips"), Some(0));
-        assert_eq!(json_u64_field(line, "missing"), None);
-        assert_eq!(json_u64_field(line, "s"), None);
-    }
 
     #[test]
     fn hostile_frames_are_reproducible_per_seed() {

@@ -27,7 +27,8 @@
 //! recovery in its `health` op (see `powerchop-durable`).
 //!
 //! Module map:
-//! - [`json`] — strict RFC 8259 request parsing (reader side).
+//! - [`json`] — strict RFC 8259 request parsing (re-exported from
+//!   `powerchop-telemetry`, which owns both JSON sides).
 //! - [`protocol`] — request validation and reply rendering.
 //! - [`cache`] — the sharded LRU result cache.
 //! - [`durability`] — journal/spill/result-log glue over
@@ -48,13 +49,13 @@
 
 pub mod cache;
 pub mod durability;
-pub mod json;
 pub mod net;
 pub mod protocol;
 mod report;
 pub mod server;
 pub mod wheel;
 
+pub use powerchop_telemetry::json;
 pub use protocol::{
     error_reply, fault_config, parse_request, strip_trace_id, ReqError, Request, RunSpec,
     DEFAULT_FAULT_SEED,

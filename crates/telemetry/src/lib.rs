@@ -13,7 +13,8 @@
 //!   state-bearing crate at a configurable cycle interval,
 //! - exporters: Chrome trace-event JSON ([`export::chrome_trace_json`]),
 //!   JSONL ([`export::jsonl`]) and Prometheus text exposition
-//!   ([`MetricsRegistry::to_prometheus_text`]),
+//!   ([`MetricsRegistry::to_prometheus_text`]), and the strict JSON
+//!   reader they are checked with ([`json::Json::parse`]),
 //! - a terminal timeline renderer ([`timeline::render`]).
 //!
 //! **Zero-cost when disabled.** The only handle the simulation holds is
@@ -34,6 +35,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod span;
@@ -42,7 +44,8 @@ pub mod timeline;
 use std::collections::HashMap;
 
 pub use event::{Event, Stamped, Unit};
-pub use export::{validate_json, JsonError};
+pub use export::validate_json;
+pub use json::JsonError;
 pub use metrics::{Histogram, MetricSource, MetricsRegistry};
 pub use ring::EventRing;
 pub use span::{format_trace_id, trace_id, Phase, SpanLedger, SpanRecorder, PHASE_COUNT};

@@ -13,12 +13,14 @@
 //! - [`telemetry`] — flight-recorder tracing, metrics and exporters
 //! - [`workloads`] — the synthetic benchmark suites
 //! - [`exec`] — the work-stealing job pool fan-out commands run on
-//! - [`resilience`] — retry, circuit-breaker, deadline-budget and chaos primitives
+//! - [`resilience`] — retry, circuit-breaker, restart-tracker and chaos primitives
 //! - [`durable`] — the write-ahead intent journal and persistent result cache
 //! - [`serve`] — the TCP daemon (NDJSON protocol, result cache, backpressure)
 //! - [`cli`] — the command-line interface (argument parsing and commands)
-
-pub mod bench_support;
+//!
+//! The paper-figure harness, `powerchop-bench` (`crates/bench`), is a
+//! workspace member of its own and is not re-exported here: run it with
+//! `cargo bench -p powerchop-bench`.
 
 pub use powerchop;
 pub use powerchop_bt as bt;

@@ -12,18 +12,24 @@
 //!   sorted-rank quantile to within bucket resolution;
 //! - every access-log record — including the ones malformed requests
 //!   leave behind — parses through the RFC 8259 validator and carries
-//!   the full seven-phase span breakdown.
+//!   the full seven-phase span breakdown;
+//! - the whole per-request span-ledger ritual costs under 2% of a
+//!   representative request.
 
+use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use powerchop_suite::cli::commands::report_to_json;
+use powerchop_suite::gisa::Program;
 use powerchop_suite::powerchop::{run_program, ManagerKind, RunConfig};
 use powerchop_suite::serve::json::Json;
 use powerchop_suite::serve::{strip_trace_id, Server, ServerConfig};
-use powerchop_suite::telemetry::{format_trace_id, trace_id, validate_json, Histogram, Phase};
+use powerchop_suite::telemetry::{
+    format_trace_id, trace_id, validate_json, Histogram, MetricsRegistry, Phase, SpanLedger,
+};
 use powerchop_suite::workloads::Scale;
 
 const BUDGET: u64 = 200_000;
@@ -99,11 +105,16 @@ fn run_line(bench: &str) -> String {
     format!(r#"{{"op":"run","bench":"{bench}","budget":{BUDGET},"scale":{SCALE}}}"#)
 }
 
-fn direct_report(bench: &str) -> String {
+/// The program and configuration a `run_line(bench)` request runs.
+fn direct_run(bench: &str) -> (Program, RunConfig) {
     let b = powerchop_suite::workloads::by_name(bench).expect("known benchmark");
     let mut cfg = RunConfig::for_kind(b.core_kind());
     cfg.max_instructions = BUDGET;
-    let program = b.program(Scale(SCALE));
+    (b.program(Scale(SCALE)), cfg)
+}
+
+fn direct_report(bench: &str) -> String {
+    let (program, cfg) = direct_run(bench);
     let report = run_program(&program, ManagerKind::PowerChop, &cfg).expect("run completes");
     report_to_json(&report)
 }
@@ -241,6 +252,59 @@ fn histogram_quantiles_track_brute_force_within_bucket_resolution() {
             bucket_of(truth)
         );
     }
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Mean nanoseconds of the ritual a traced request adds outside its
+/// compute: mint a trace id, stamp the seven phases plus the compute
+/// cycles, observe the latency into the `run` histogram and render
+/// the hex id for the reply.
+fn ritual_ns(registry: &mut MetricsRegistry) -> f64 {
+    const RITUALS: u64 = 10_000;
+    let start = Instant::now();
+    for n in 0..RITUALS {
+        let trace = trace_id(0xBEEF, n);
+        let mut ledger = SpanLedger::new();
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            ledger.record(phase, black_box(100 + i as u64));
+        }
+        ledger.record_cycles(Phase::Compute, black_box(50_000));
+        registry.observe(
+            "serve_request_duration_ms{op=\"run\"}",
+            ledger.total_wall_ns() / 1_000_000,
+        );
+        black_box(format_trace_id(trace));
+    }
+    start.elapsed().as_nanos() as f64 / RITUALS as f64
+}
+
+#[test]
+fn span_ledger_ritual_costs_under_two_percent_of_a_request() {
+    // The representative request is the one the wire tests send: one
+    // direct hmmer run under PowerChop at the default test knobs.
+    let (program, cfg) = direct_run("hmmer");
+    let mut registry = MetricsRegistry::new();
+    let mut request = Vec::new();
+    let mut ritual = Vec::new();
+    // Interleaved, so drift in host speed lands on both sides alike.
+    for _ in 0..5 {
+        let start = Instant::now();
+        let report = run_program(&program, ManagerKind::PowerChop, &cfg).expect("run completes");
+        black_box(report.cycles);
+        request.push(start.elapsed().as_nanos() as f64);
+        ritual.push(ritual_ns(&mut registry));
+    }
+    let (request, ritual) = (median(request), median(ritual));
+    let pct = 100.0 * ritual / request;
+    println!("span-ledger ritual {ritual:.0} ns of a {request:.0} ns request: {pct:.4}%");
+    assert!(
+        pct < 2.0,
+        "span-ledger ritual costs {pct:.4}% of a request ({ritual:.0} of {request:.0} ns)"
+    );
 }
 
 #[test]
