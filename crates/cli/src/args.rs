@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
 use powerchop::ManagerKind;
-use powerchop_serve::ServerConfig;
+use powerchop_serve::{RunSpec, ServerConfig};
 
 use crate::CliError;
 
@@ -52,6 +52,24 @@ impl RunOpts {
     #[must_use]
     pub fn wants_telemetry(&self) -> bool {
         self.trace.is_some() || self.metrics.is_some()
+    }
+
+    /// The run these flags describe for benchmark `bench`, as the spec
+    /// serve's protocol and durability layer speak. It carries no
+    /// deadline: a CLI run is bounded by its budget, and `supervise`
+    /// fixes each attempt's own.
+    #[must_use]
+    pub fn spec(&self, bench: &str) -> RunSpec {
+        RunSpec {
+            bench: bench.to_owned(),
+            manager: self.manager,
+            budget: self.budget,
+            scale: self.scale,
+            seed: self.seed,
+            storm: self.storm,
+            deadline_ms: u64::MAX,
+            chaos_panic: false,
+        }
     }
 }
 

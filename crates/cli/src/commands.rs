@@ -4,12 +4,13 @@ use std::collections::HashMap;
 
 use powerchop::{
     read_meta, run_program, run_program_traced, ManagerKind, RunConfig, RunReport, Simulation,
-    SnapshotMeta, STEP_CHUNK,
+    STEP_CHUNK,
 };
 use powerchop_durable::write_atomic;
 use powerchop_faults::FaultConfig;
 use powerchop_gisa::Program;
-use powerchop_serve::durability::manager_label;
+use powerchop_serve::durability::{snapshot_meta, Prepared};
+use powerchop_serve::DEFAULT_FAULT_SEED;
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{export, timeline, TelemetryConfig, Tracer};
 use powerchop_uarch::cache::MlcWayState;
@@ -153,6 +154,22 @@ pub(crate) fn write_telemetry(
     Ok(())
 }
 
+/// Writes one sweep run's telemetry: `--trace`/`--metrics` fan out to
+/// [`per_bench_path`]s, so concurrent runs never collide (the "wrote
+/// ..." notes go to stderr, not the report).
+pub(crate) fn write_bench_telemetry(
+    tracer: &Tracer,
+    opts: &RunOpts,
+    bench: &str,
+) -> Result<(), CliError> {
+    let path = |flag: &Option<String>| flag.as_deref().map(|p| per_bench_path(p, bench));
+    write_telemetry(
+        tracer,
+        path(&opts.trace).as_deref(),
+        path(&opts.metrics).as_deref(),
+    )
+}
+
 /// Derives the per-benchmark output path sweeps use: `out.json` becomes
 /// `out-<bench>.json` so one `--trace`/`--metrics` flag fans out without
 /// the runs overwriting each other.
@@ -291,19 +308,7 @@ fn run_all(opts: &RunOpts) -> Result<(), CliError> {
     let results = powerchop_exec::run_jobs(&benches, jobs, |_, b| -> Result<RunReport, CliError> {
         let pr = prepare(b.name(), opts)?;
         let (report, tracer) = run_program_traced(&pr.program, pr.kind, &pr.cfg, tracer_for(opts))?;
-        // Telemetry paths are per-benchmark, so concurrent writes never
-        // collide; the "wrote ..." notes go to stderr, not the report.
-        write_telemetry(
-            &tracer,
-            opts.trace
-                .as_deref()
-                .map(|p| per_bench_path(p, b.name()))
-                .as_deref(),
-            opts.metrics
-                .as_deref()
-                .map(|p| per_bench_path(p, b.name()))
-                .as_deref(),
-        )?;
+        write_bench_telemetry(&tracer, opts, b.name())?;
         Ok(report)
     });
 
@@ -425,7 +430,7 @@ fn run_asm(path: &str, opts: &RunOpts) -> Result<(), CliError> {
         .and_then(|s| s.to_str())
         .unwrap_or("program");
     let program: Program = powerchop_gisa::asm::assemble(name, &source)?;
-    let pr = PreparedRun::new(program, CoreKind::Server, opts);
+    let pr = prepare_program(program, CoreKind::Server, opts);
     let report = run_program(&pr.program, pr.kind, &pr.cfg)?;
     if opts.json {
         println!("{}", report_to_json(&report));
@@ -435,63 +440,23 @@ fn run_asm(path: &str, opts: &RunOpts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The `stress` fault-schedule seed when `--seed` is not given (the
-/// daemon shares it, so `stress` and a seedless storm request agree).
-pub const DEFAULT_STRESS_SEED: u64 = powerchop_serve::DEFAULT_FAULT_SEED;
-
-// The fault schedule implied by `--seed`/`--storm` (`None` runs clean)
-// is shared with the daemon so both derive identical schedules.
-use powerchop_serve::fault_config;
-
-/// Everything a run needs, built from the run-shaping flags by one
-/// builder so every run command honours the same ones, and `checkpoint`,
-/// `resume` and `supervise` reconstruct runs identically.
-pub(crate) struct PreparedRun {
-    /// The guest program.
-    pub program: Program,
-    /// The manager kind.
-    pub kind: ManagerKind,
-    /// The full run configuration.
-    pub cfg: RunConfig,
-    /// Self-describing metadata embedded in snapshots.
-    pub meta: SnapshotMeta,
-}
-
-impl PreparedRun {
-    /// Prepares `program` on the `core` design point under `opts`'
-    /// manager, budget, JIT mode and fault schedule. The metadata
-    /// round-trips through a snapshot back into the same prepared run.
-    pub(crate) fn new(program: Program, core: CoreKind, opts: &RunOpts) -> Self {
-        let mut cfg = RunConfig::for_kind(core);
-        cfg.max_instructions = opts.budget;
-        if let Some(jit) = opts.jit {
-            cfg.jit = jit;
-        }
-        cfg.faults = fault_config(opts.seed, opts.storm);
-        let meta = SnapshotMeta {
-            benchmark: program.name().to_owned(),
-            scale: opts.scale,
-            manager: manager_label(opts.manager).to_owned(),
-            budget: opts.budget,
-            fault_seed: cfg
-                .faults
-                .as_ref()
-                .map(|_| opts.seed.unwrap_or(DEFAULT_STRESS_SEED)),
-            storm: opts.storm,
-        };
-        PreparedRun {
-            program,
-            kind: opts.manager,
-            cfg,
-            meta,
-        }
+/// Prepares `program` on the `core` design point from the run-shaping
+/// flags: the shared [`Prepared::new`] builder (budget, fault schedule,
+/// run key), then `--jit` on top, so every run command, `checkpoint`,
+/// `resume` and `supervise` reconstruct a run identically.
+fn prepare_program(program: Program, core: CoreKind, opts: &RunOpts) -> Prepared {
+    let spec = opts.spec(program.name());
+    let mut pr = Prepared::new(program, RunConfig::for_kind(core), &spec);
+    if let Some(jit) = opts.jit {
+        pr.cfg.jit = jit;
     }
+    pr
 }
 
-/// Prepares benchmark `bench` at `opts.scale` (see [`PreparedRun::new`]).
-pub(crate) fn prepare(bench: &str, opts: &RunOpts) -> Result<PreparedRun, CliError> {
+/// Prepares benchmark `bench` at `opts.scale` (see [`prepare_program`]).
+pub(crate) fn prepare(bench: &str, opts: &RunOpts) -> Result<Prepared, CliError> {
     let b = benchmark(bench)?;
-    Ok(PreparedRun::new(
+    Ok(prepare_program(
         b.program(Scale(opts.scale)),
         b.core_kind(),
         opts,
@@ -504,7 +469,7 @@ fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: &RunOpts) -> Re
     while !sim.is_done() && sim.retired() < at {
         sim.step_chunk(STEP_CHUNK)?;
     }
-    let bytes = sim.snapshot(&pr.meta);
+    let bytes = sim.snapshot(&snapshot_meta(&opts.spec(bench)));
     let default_name = format!("{bench}.ckpt");
     let path = std::path::Path::new(out.unwrap_or(&default_name));
     write_atomic(path, &bytes)?;
@@ -551,7 +516,9 @@ fn resume_cmd(path: &str, json: bool) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One benchmark's stress outcome.
+/// One benchmark's stress outcome; the default row is a benchmark that
+/// panicked before anything could be measured.
+#[derive(Default)]
 struct StressRow {
     name: &'static str,
     survived: bool,
@@ -568,7 +535,7 @@ fn stress_one(
     fault_cfg: FaultConfig,
     opts: &RunOpts,
 ) -> Result<StressRow, CliError> {
-    let PreparedRun {
+    let Prepared {
         program, kind, cfg, ..
     } = prepare(b.name(), opts)?;
     let mut clean_cfg = cfg.clone();
@@ -576,57 +543,24 @@ fn stress_one(
     let mut faulted_cfg = cfg;
     faulted_cfg.faults = Some(fault_cfg);
 
-    // The survival guarantee is the whole point of the stress command, so
-    // a panic in one benchmark is reported as a failed row rather than
-    // taking down the sweep.
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<_, CliError> {
-            let clean = run_program(&program, ManagerKind::FullPower, &clean_cfg)?;
-            let (faulted, tracer) =
-                run_program_traced(&program, kind, &faulted_cfg, tracer_for(opts))?;
-            Ok((clean, faulted, tracer))
-        }));
-    match outcome {
-        Ok(Ok((clean, faulted, tracer))) => {
-            write_telemetry(
-                &tracer,
-                opts.trace
-                    .as_deref()
-                    .map(|p| per_bench_path(p, b.name()))
-                    .as_deref(),
-                opts.metrics
-                    .as_deref()
-                    .map(|p| per_bench_path(p, b.name()))
-                    .as_deref(),
-            )?;
-            let degrade = faulted.degrade.unwrap_or_default();
-            Ok(StressRow {
-                name: b.name(),
-                survived: true,
-                instructions: faulted.instructions,
-                slowdown: faulted.slowdown_vs(&clean),
-                faults: faulted.faults.map_or(0, |f| f.total()),
-                anomalies: degrade.anomalies,
-                failsafes: degrade.failsafe_transitions,
-                pinned: degrade.phases_pinned,
-            })
-        }
-        Ok(Err(e)) => Err(e),
-        Err(_) => Ok(StressRow {
-            name: b.name(),
-            survived: false,
-            instructions: 0,
-            slowdown: 0.0,
-            faults: 0,
-            anomalies: 0,
-            failsafes: 0,
-            pinned: 0,
-        }),
-    }
+    let clean = run_program(&program, ManagerKind::FullPower, &clean_cfg)?;
+    let (faulted, tracer) = run_program_traced(&program, kind, &faulted_cfg, tracer_for(opts))?;
+    write_bench_telemetry(&tracer, opts, b.name())?;
+    let degrade = faulted.degrade.unwrap_or_default();
+    Ok(StressRow {
+        name: b.name(),
+        survived: true,
+        instructions: faulted.instructions,
+        slowdown: faulted.slowdown_vs(&clean),
+        faults: faulted.faults.map_or(0, |f| f.total()),
+        anomalies: degrade.anomalies,
+        failsafes: degrade.failsafe_transitions,
+        pinned: degrade.phases_pinned,
+    })
 }
 
 fn stress(bench: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
-    let seed = opts.seed.unwrap_or(DEFAULT_STRESS_SEED);
+    let seed = opts.seed.unwrap_or(DEFAULT_FAULT_SEED);
     let fault_cfg = if opts.storm {
         FaultConfig::storm(seed)
     } else {
@@ -639,8 +573,9 @@ fn stress(bench: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
 
     // Fan the per-benchmark runs out on the job pool; rows fold back in
     // benchmark order, so the table and JSON below are byte-identical at
-    // any thread count. A job that panics outside `stress_one`'s own
-    // catch (e.g. while building the workload) becomes a failed row.
+    // any thread count. The survival guarantee is the whole point of the
+    // command, so a job that panics (the pool catches it) becomes a
+    // failed row rather than taking down the sweep.
     let jobs = powerchop_exec::resolve_jobs(opts.jobs);
     let results = powerchop_exec::run_jobs(&benches, jobs, |_, b| stress_one(b, fault_cfg, opts));
     let mut rows = Vec::with_capacity(benches.len());
@@ -649,13 +584,7 @@ fn stress(bench: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
             Ok(row) => rows.push(row?),
             Err(_) => rows.push(StressRow {
                 name: b.name(),
-                survived: false,
-                instructions: 0,
-                slowdown: 0.0,
-                faults: 0,
-                anomalies: 0,
-                failsafes: 0,
-                pinned: 0,
+                ..StressRow::default()
             }),
         }
     }
@@ -729,7 +658,6 @@ fn stress(bench: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
 }
 
 fn profile_bench(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    use powerchop_gisa::InstClass;
     let b = benchmark(bench)?;
     let program = b.program(Scale(opts.scale));
     let prof = powerchop_workloads::stats::profile(&program, opts.budget)?;
@@ -754,7 +682,6 @@ fn profile_bench(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
             100.0 * *n as f64 / prof.instructions as f64
         );
     }
-    let _ = InstClass::IntAlu; // anchor the import
     Ok(())
 }
 
@@ -792,7 +719,7 @@ mod tests {
         };
         let pr = prepare(&bench, &opts).unwrap();
         assert_eq!(pr.cfg.jit, powerchop::JitMode::Off);
-        assert_eq!(pr.meta.benchmark, "hmmer");
+        assert_eq!(snapshot_meta(&opts.spec(&bench)).benchmark, "hmmer");
     }
 
     #[test]

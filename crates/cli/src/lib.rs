@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+mod client;
 pub mod commands;
 pub mod respawn;
 pub mod soak;

@@ -33,11 +33,18 @@ use powerchop_telemetry::validate_json;
 use powerchop_workloads::Scale;
 
 use crate::args::SoakOpts;
+use crate::client::{request, scrape};
 use crate::CliError;
 
 /// Benchmarks the storm cycles through. Kept small so the local
 /// expected-report precomputation stays fast.
 const ROSTER: [&str; 3] = ["hmmer", "namd", "gobmk"];
+
+/// Socket timeout for one request: a cold run may queue behind a storm.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Socket timeout for one `/metrics` scrape.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Hard numbers out of one soak storm.
 #[derive(Debug, Clone)]
@@ -149,26 +156,6 @@ fn expected_replies(opts: &SoakOpts) -> Result<Vec<Expected>, CliError> {
         .collect()
 }
 
-/// One request over one fresh connection: connect, send the line, read
-/// exactly one newline-terminated reply.
-fn request_once(addr: SocketAddr, line: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
-    reader.read_line(&mut reply)?;
-    if !reply.ends_with('\n') {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "reply was not newline-terminated",
-        ));
-    }
-    Ok(reply.trim_end().to_owned())
-}
-
 /// Whether a typed error reply is transient backpressure worth retrying
 /// (queue full, draining-adjacent 503s like breaker-open).
 fn is_retryable(reply: &str) -> bool {
@@ -181,7 +168,7 @@ fn is_retryable(reply: &str) -> bool {
 fn honest_once(addr: SocketAddr, exp: &Expected, c: &Counters) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        match request_once(addr, &exp.request) {
+        match request(addr, &exp.request, REQUEST_TIMEOUT) {
             Ok(reply) => {
                 c.saw_reply(&reply);
                 // Trace ids are per-request by design; everything else
@@ -239,7 +226,7 @@ fn kill_client(addr: SocketAddr, opts: &SoakOpts, c: &Counters) {
         );
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            match request_once(addr, &line) {
+            match request(addr, &line, REQUEST_TIMEOUT) {
                 Ok(reply) => {
                     c.saw_reply(&reply);
                     if reply.contains("\"code\":500") && reply.contains("killed") {
@@ -412,7 +399,7 @@ fn final_health(addr: SocketAddr, expect_respawns: u64, c: &Counters) -> (u64, u
     let mut trips = 0;
     let mut gave_up = false;
     loop {
-        if let Ok(reply) = request_once(addr, r#"{"op":"health"}"#) {
+        if let Ok(reply) = request(addr, r#"{"op":"health"}"#, REQUEST_TIMEOUT) {
             c.saw_reply(&reply);
             let health = Json::parse(&reply).unwrap_or(Json::Null);
             let field = |name| health.get(name).and_then(Json::as_u64).unwrap_or(0);
@@ -434,7 +421,7 @@ fn final_health(addr: SocketAddr, expect_respawns: u64, c: &Counters) -> (u64, u
 /// Sends the in-protocol shutdown and waits for the server thread to
 /// finish draining. `true` only for a clean, in-time exit.
 fn drain(addr: SocketAddr, done_rx: &mpsc::Receiver<std::io::Result<()>>, c: &Counters) -> bool {
-    match request_once(addr, r#"{"op":"shutdown"}"#) {
+    match request(addr, r#"{"op":"shutdown"}"#, REQUEST_TIMEOUT) {
         Ok(reply) => {
             c.saw_reply(&reply);
             if !reply.contains("\"draining\":true") {
@@ -672,7 +659,7 @@ impl DrillChild {
 
     /// Requests an in-protocol shutdown and waits for a clean exit.
     fn drain(mut self, c: &Counters) -> bool {
-        match request_once(self.addr, r#"{"op":"shutdown"}"#) {
+        match request(self.addr, r#"{"op":"shutdown"}"#, REQUEST_TIMEOUT) {
             Ok(reply) => c.saw_reply(&reply),
             Err(e) => {
                 c.note(format!("drill shutdown request failed: {e}"));
@@ -743,30 +730,12 @@ fn await_spill_progress(jpath: &std::path::Path, prev: u64, saw_pending: bool) -
     }
 }
 
-/// Scrapes the daemon's HTTP `GET /metrics` endpoint and extracts one
-/// counter's value.
-fn scrape_counter(addr: SocketAddr, name: &str) -> Option<u64> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .ok()?;
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: drill\r\nConnection: close\r\n\r\n")
-        .ok()?;
-    let mut body = String::new();
-    BufReader::new(stream).read_to_string(&mut body).ok()?;
-    body.lines().find_map(|line| {
-        line.strip_prefix(name)
-            .and_then(|rest| rest.trim().parse().ok())
-    })
-}
-
 /// Polls the daemon's `health` op until boot-time recovery finishes,
 /// returning the final health reply.
 fn await_recovery(addr: SocketAddr, c: &Counters) -> Option<Json> {
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
-        if let Ok(reply) = request_once(addr, r#"{"op":"health"}"#) {
+        if let Ok(reply) = request(addr, r#"{"op":"health"}"#, REQUEST_TIMEOUT) {
             c.saw_reply(&reply);
             let health = Json::parse(&reply).unwrap_or(Json::Null);
             if health.get("recovery_active").and_then(Json::as_bool) == Some(false) {
@@ -890,7 +859,7 @@ pub fn run_crash_drill(opts: &SoakOpts) -> Result<CrashDrillReport, CliError> {
     let resumed_instructions = field("resumed_instructions").unwrap_or(0);
     let redone_instructions = field("redone_instructions").unwrap_or(u64::MAX);
     let recovered_boot = health.get("clean_boot").and_then(Json::as_bool) == Some(false);
-    let final_sweep_identical = match request_once(daemon.addr, &sweep_request) {
+    let final_sweep_identical = match request(daemon.addr, &sweep_request, REQUEST_TIMEOUT) {
         Ok(reply) => {
             c.saw_reply(&reply);
             if powerchop_serve::strip_trace_id(&reply) == expected_sweep {
@@ -905,10 +874,11 @@ pub fn run_crash_drill(opts: &SoakOpts) -> Result<CrashDrillReport, CliError> {
             false
         }
     };
+    let metrics = scrape(daemon.addr, SCRAPE_TIMEOUT).unwrap_or_default();
     let counters_scraped = ["serve_recoveries_total", "serve_journal_replayed_total"]
         .iter()
-        .all(|name| match scrape_counter(daemon.addr, name) {
-            Some(v) if v > 0 => true,
+        .all(|name| match metrics.get(*name) {
+            Some(&v) if v > 0.0 => true,
             got => {
                 c.note(format!("metrics counter {name}: expected > 0, got {got:?}"));
                 false

@@ -34,18 +34,17 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{config_fingerprint, RunReport, Simulation, STEP_CHUNK};
-use powerchop_checkpoint::run_key;
+use powerchop::RunReport;
 use powerchop_durable::PendingIntent;
 use powerchop_serve::cache::ResultCache;
-use powerchop_serve::durability::{boot, spec_to_record, Durability, SpillPlan};
+use powerchop_serve::durability::{
+    boot, restore_or_new, run_until, spec_to_record, Durability, Prepared, SpillPlan,
+};
 use powerchop_serve::{report_to_json, RunSpec};
 use powerchop_telemetry::Tracer;
 
 use crate::args::{RunOpts, SuperviseOpts};
-use crate::commands::{
-    benchmark, per_bench_path, prepare, tracer_for, write_telemetry, PreparedRun,
-};
+use crate::commands::{benchmark, prepare, tracer_for, write_bench_telemetry};
 use crate::CliError;
 
 /// How a benchmark's run ended in this invocation. Only `Done` is
@@ -104,82 +103,32 @@ impl Shared {
     }
 }
 
-/// The journaled spec of one supervised benchmark run.
-fn run_spec(bench: &str, opts: &RunOpts, deadline_ms: u64) -> RunSpec {
-    RunSpec {
-        bench: bench.to_owned(),
-        manager: opts.manager,
-        budget: opts.budget,
-        scale: opts.scale,
-        seed: opts.seed,
-        storm: opts.storm,
-        deadline_ms,
-        chaos_panic: false,
-    }
-}
-
-/// Extracts a displayable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Runs one attempt of one benchmark: resume from the run's spill when a
-/// usable one exists, step in chunks, spill periodically, and bail out
-/// (spilling progress) at the first chunk boundary past `deadline`
-/// (`None` never expires). Returns the outcome plus whether the attempt
-/// resumed from a spill.
+/// Runs one attempt of one benchmark on the shared run path: resume
+/// from the run's spill when the plan says one may exist, step and
+/// spill through [`run_until`], and at the first chunk boundary past
+/// `deadline` (`None` never expires) spill the live simulation and bail
+/// out. Returns the outcome plus whether the attempt resumed from a
+/// spill.
 fn run_attempt(
-    pr: &PreparedRun,
+    pr: &Prepared,
     opts: &RunOpts,
     plan: &SpillPlan,
     deadline: Option<Instant>,
 ) -> (AttemptOutcome, bool) {
     let mut resumed = false;
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutcome, CliError> {
-        let mut sim = match plan.restore(&pr.program, pr.kind, &pr.cfg) {
-            Some(Ok(sim)) => {
-                resumed = true;
-                sim
-            }
-            Some(Err(e)) => {
-                // A corrupt or stale spill is a typed error, never a
-                // panic: report it and start from scratch.
-                eprintln!(
-                    "warning: checkpoint {} unusable ({e}); starting fresh",
-                    plan.path().display()
-                );
-                Simulation::new(&pr.program, pr.kind, &pr.cfg)?
-            }
-            None => Simulation::new(&pr.program, pr.kind, &pr.cfg)?,
-        };
+        let (mut sim, from_spill) = restore_or_new(pr, Some(plan))?;
+        resumed = from_spill;
         // Telemetry is not checkpointed: a resumed attempt's recording
         // simply starts at the resume point.
         if opts.wants_telemetry() {
             sim.attach_tracer(tracer_for(opts));
         }
-        let mut last_spill = sim.retired();
-        while !sim.is_done() {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                // Persist progress before dying so the retry (or the
-                // next invocation) resumes instead of starting over.
-                plan.spill(&mut sim);
-                return Ok(AttemptOutcome::DeadlineKilled);
-            }
-            sim.step_chunk(STEP_CHUNK)?;
-            // A run the chunk just finished is retired moments from
-            // now, and its spill with it: checkpoint only unfinished work.
-            if !sim.is_done()
-                && sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every
-            {
-                plan.spill(&mut sim);
-                last_spill = sim.retired();
-            }
+        if !run_until(&mut sim, Some(plan), deadline)? {
+            // Persist progress before dying so the retry (or the next
+            // invocation) resumes instead of starting over.
+            plan.spill(&mut sim);
+            return Ok(AttemptOutcome::DeadlineKilled);
         }
         let (report, tracer) = sim.into_report_with_telemetry();
         Ok(AttemptOutcome::Completed(
@@ -190,7 +139,7 @@ fn run_attempt(
     let outcome = match result {
         Ok(Ok(outcome)) => outcome,
         Ok(Err(e)) => AttemptOutcome::Errored(e.to_string()),
-        Err(payload) => AttemptOutcome::Panicked(panic_message(payload)),
+        Err(payload) => AttemptOutcome::Panicked(powerchop_exec::panic_message(payload.as_ref())),
     };
     (outcome, resumed)
 }
@@ -221,11 +170,7 @@ fn supervise_slot(
 ) -> Result<Row, CliError> {
     let mut block = String::new();
     let pr = prepare(name, opts)?;
-    let key = run_key(
-        pr.program.fingerprint(),
-        config_fingerprint(pr.kind, &pr.cfg),
-    );
-    let spec = run_spec(name, opts, sup.deadline_ms);
+    let spec = opts.spec(name);
     let d = &shared.durability;
     let claimed = shared.claim(&spec);
     let mut row = Row {
@@ -235,7 +180,7 @@ fn supervise_slot(
         resumed: false,
         skipped: true,
     };
-    if shared.finished.contains(&key) {
+    if shared.finished.contains(&pr.key) {
         // A kill between the result append and the `Done` left the
         // intent pending: retire it now.
         if let Some(intent) = claimed {
@@ -253,7 +198,7 @@ fn supervise_slot(
             (id, None)
         }
     };
-    let plan = SpillPlan {
+    let mut plan = SpillPlan {
         durability: Arc::clone(d),
         id,
         spec,
@@ -271,24 +216,16 @@ fn supervise_slot(
         let (outcome, resumed) = run_attempt(&pr, opts, &plan, deadline);
         row.resumed = row.resumed || resumed;
         let elapsed = started.elapsed();
+        // The attempt may have spilled: a retry resumes from it.
+        plan.recovery = true;
 
         match outcome {
             AttemptOutcome::Completed(report, tracer) => {
                 // Result first, then `Done`: a kill between the two
                 // leaves a pending intent whose result is already logged.
-                d.record_cache_put(key, &report_to_json(&report));
+                d.record_cache_put(pr.key, &report_to_json(&report));
                 d.retire(plan.id, [name]);
-                write_telemetry(
-                    &tracer,
-                    opts.trace
-                        .as_deref()
-                        .map(|p| per_bench_path(p, name))
-                        .as_deref(),
-                    opts.metrics
-                        .as_deref()
-                        .map(|p| per_bench_path(p, name))
-                        .as_deref(),
-                )?;
+                write_bench_telemetry(&tracer, opts, name)?;
                 let _ =
                     writeln!(
                     block,
@@ -464,7 +401,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    use powerchop::ManagerKind;
+    use powerchop::{ManagerKind, Simulation};
     use powerchop_durable::{
         journal_path, replay, replay_results, results_path, CacheReplay, JournalReplay,
     };
@@ -518,7 +455,7 @@ mod tests {
         let booted = boot(dir, None, u64::MAX, &mut ResultCache::new(0)).expect("boot");
         let durability = booted.durability;
         let id = durability.next_intent_id();
-        let spec = run_spec(bench, opts, 60_000);
+        let spec = opts.spec(bench);
         durability.journal_intent(id, 0, std::slice::from_ref(&spec));
         SpillPlan {
             durability,
@@ -670,6 +607,27 @@ mod tests {
         assert!(!plan.path().exists(), "spill cleaned up after completion");
         // Resumed ≡ uninterrupted.
         assert_eq!(results.entries[0].1, direct_report("hmmer", &opts));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_run_its_first_chunk_finishes_is_never_spilled() {
+        let dir = tmp_dir("final-spill");
+        // 50k instructions finish inside the first step chunk, which also
+        // crosses the 1k checkpoint interval: the run is done, so nothing
+        // is spilled between its Intent and its Done.
+        let opts = RunOpts {
+            budget: 50_000,
+            ..small_opts()
+        };
+        supervise(&["hmmer".to_owned()], opts, &sup_opts(&dir, 1, 1_000)).expect("sweep completes");
+        let (journal, results) = logs(&dir);
+        assert_eq!(
+            journal.records_replayed, 2,
+            "a run finished by its first chunk journals Intent and Done only: {journal:?}"
+        );
+        assert!(journal.pending.is_empty());
+        assert_eq!(results.entries.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,14 +10,14 @@
 //! primitives the `trace` timeline uses.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
 use powerchop_serve::json::Json;
 use powerchop_telemetry::timeline;
 
 use crate::args::TopOpts;
+use crate::client::{request, scrape};
 use crate::CliError;
 
 /// Socket timeout for each poll: a wedged daemon must stall one frame,
@@ -49,54 +49,13 @@ struct Snapshot {
     runs_resumed: f64,
 }
 
-/// Parses a Prometheus text exposition into `full-key -> value`,
-/// keeping label syntax inside the key (`lat_p50{op="run"}`). Comment
-/// and malformed lines are skipped — the dashboard degrades, never
-/// dies, on exposition drift.
-fn parse_exposition(text: &str) -> HashMap<String, f64> {
-    let mut out = HashMap::new();
-    for line in text.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(name), Some(value)) = (parts.next(), parts.next()) {
-            if let Ok(v) = value.parse::<f64>() {
-                out.insert(name.to_owned(), v);
-            }
-        }
-    }
-    out
-}
-
-/// Scrapes `GET /metrics` over a fresh connection (the daemon closes
-/// it after one response) and returns the exposition body.
-fn scrape_metrics(addr: &str) -> Result<String, CliError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(POLL_TIMEOUT))?;
-    stream.set_write_timeout(Some(POLL_TIMEOUT))?;
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n")?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_owned())
-        .ok_or_else(|| CliError(format!("{addr}: malformed HTTP response from /metrics")))
-}
-
-/// Polls the JSON `health` op over a fresh connection.
-fn poll_health(addr: &str) -> Result<Json, CliError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(POLL_TIMEOUT))?;
-    stream.set_write_timeout(Some(POLL_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"op\":\"health\"}}")?;
-    writer.flush()?;
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    Json::parse(line.trim()).map_err(|e| CliError(format!("{addr}: malformed health reply: {e}")))
+/// Polls `/metrics` and the JSON `health` op.
+fn poll(addr: &str) -> Result<(HashMap<String, f64>, Json), CliError> {
+    let metrics = scrape(addr, POLL_TIMEOUT)?;
+    let reply = request(addr, r#"{"op":"health"}"#, POLL_TIMEOUT)?;
+    let health = Json::parse(&reply)
+        .map_err(|e| CliError(format!("{addr}: malformed health reply: {e}")))?;
+    Ok((metrics, health))
 }
 
 /// Folds one `/metrics` + `health` poll into a [`Snapshot`].
@@ -187,9 +146,7 @@ pub fn top_cmd(opts: &TopOpts) -> Result<(), CliError> {
     let mut prev_requests: Option<f64> = None;
     let mut frame = 0u64;
     loop {
-        let polled =
-            scrape_metrics(&opts.addr).and_then(|text| poll_health(&opts.addr).map(|h| (text, h)));
-        let (text, health) = match polled {
+        let (metrics, health) = match poll(&opts.addr) {
             Ok(ok) => ok,
             Err(e) if frame == 0 => return Err(e),
             Err(_) => {
@@ -197,7 +154,7 @@ pub fn top_cmd(opts: &TopOpts) -> Result<(), CliError> {
                 return Ok(());
             }
         };
-        let snap = snapshot(&parse_exposition(&text), &health);
+        let snap = snapshot(&metrics, &health);
         let interval_s = opts.interval_ms as f64 / 1_000.0;
         let qps = prev_requests
             .map(|prev| ((snap.requests_total - prev) / interval_s).max(0.0))
@@ -224,22 +181,6 @@ pub fn top_cmd(opts: &TopOpts) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exposition_parsing_keeps_labeled_keys_and_skips_comments() {
-        let text = "# HELP serve_requests_total Request lines received.\n\
-                    # TYPE serve_requests_total counter\n\
-                    serve_requests_total 42\n\
-                    serve_request_duration_ms_p99{op=\"run\"} 7.5\n\
-                    garbage-line-without-value\n";
-        let m = parse_exposition(text);
-        assert_eq!(m.get("serve_requests_total"), Some(&42.0));
-        assert_eq!(
-            m.get(r#"serve_request_duration_ms_p99{op="run"}"#),
-            Some(&7.5)
-        );
-        assert_eq!(m.len(), 2, "comments and malformed lines are skipped");
-    }
 
     #[test]
     fn snapshot_folds_metrics_and_health_and_degrades_on_missing_keys() {

@@ -64,7 +64,9 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a displayable message from a caught panic payload.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

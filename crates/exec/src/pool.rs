@@ -22,10 +22,9 @@
 //!   [`KillWorker`](crate::KillWorker) sentinel, or a panicking
 //!   callback) is detected by a drop guard on the dying thread, which
 //!   repairs the liveness accounting and spawns a replacement. Restarts
-//!   are rate-limited by a
-//!   [`RestartTracker`](powerchop_resilience::RestartTracker): past the
-//!   storm threshold the pool latches [`WorkerPool::gave_up`] and sheds
-//!   new submissions with [`SubmitError::Unavailable`] — but keeps
+//!   are rate-limited by a [`RestartTracker`]: past the storm
+//!   threshold the pool latches [`WorkerPool::gave_up`] and sheds new
+//!   submissions with [`SubmitError::Unavailable`] — but keeps
 //!   respawning, so jobs already queued still run and call back.
 //! - **Graceful shutdown.** Dropping (or [`WorkerPool::close`]-ing) the
 //!   pool stops admission, runs everything already queued, and joins

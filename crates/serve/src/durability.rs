@@ -1,7 +1,7 @@
-//! Crash-consistency glue over `powerchop-durable`, shared by the serve
-//! daemon and the CLI's `supervise` sweep.
+//! Crash-consistency glue over `powerchop-durable`, and the one run
+//! path shared by the serve daemon and the CLI.
 //!
-//! Both callers keep one on-disk format in one directory:
+//! Both durable callers keep one on-disk format in one directory:
 //!
 //! - each owed run (a serve `run`/`sweep` request, a supervised
 //!   benchmark) is journaled as a [`Record::Intent`] *before* its first
@@ -15,9 +15,17 @@
 //! - finished reports are written through to a [`CacheLog`] under their
 //!   run key, so a restart answers them again bit-identically.
 //!
-//! This module owns the boot-time replay (journal + cache log,
-//! compacting both), the typed [`RecoveryState`] that the `health` op
-//! and the Prometheus counters report, and the spec <-> journal-record
+//! Every caller builds a run the same way and drives it through the same
+//! loop: [`Prepared::new`] turns a [`RunSpec`] into a program,
+//! configuration and run key, [`restore_or_new`] resumes it from its
+//! spill or starts it fresh, [`run_until`] steps it to completion or a
+//! deadline, and [`snapshot_meta`] names it inside every snapshot. Serve
+//! and `supervise` use all four; the CLI's one-shot commands use the
+//! builder, and `checkpoint` the metadata too.
+//!
+//! This module also owns the boot-time replay (journal + cache log,
+//! compacting both), the typed recovery state that the `health` op and
+//! the Prometheus counters report, and the spec <-> journal-record
 //! conversions. The serve recovery *driver* — re-dispatching pending
 //! intents onto the worker pool as loop-owned batches — lives in
 //! [`crate::server`], which owns the pool.
@@ -25,8 +33,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
-use powerchop::{ManagerKind, RunConfig, SimError, Simulation, SnapshotMeta};
+use powerchop::{
+    config_fingerprint, ManagerKind, RunConfig, SimError, Simulation, SnapshotMeta, STEP_CHUNK,
+};
+use powerchop_checkpoint::run_key;
 use powerchop_durable::{
     compact, compact_results, journal_path, replay, replay_results, results_path, spill_path,
     CacheLog, Journal, PendingIntent, Record, SpecRecord,
@@ -34,7 +46,7 @@ use powerchop_durable::{
 use powerchop_gisa::Program;
 
 use crate::cache::ResultCache;
-use crate::protocol::RunSpec;
+use crate::protocol::{fault_config, RunSpec, DEFAULT_FAULT_SEED};
 
 /// Locks a mutex, riding through poisoning (same policy as the server:
 /// a panicked holder must not take the journal down with it).
@@ -152,8 +164,7 @@ impl Durability {
 
 /// One journaled run's spill/resume instructions: a serve pool job or a
 /// supervised benchmark carries one. `resume_from` is the last
-/// *journaled* spill point when this resumes a pending intent;
-/// `recovery` switches serve's resumed/redone accounting on.
+/// *journaled* spill point when this resumes a pending intent.
 #[derive(Debug, Clone)]
 pub struct SpillPlan {
     /// Shared durability handle (journal + counters).
@@ -166,7 +177,9 @@ pub struct SpillPlan {
     /// Retired-instruction count the last journaled spill promised is
     /// durable on disk, when resuming.
     pub resume_from: Option<u64>,
-    /// Whether this is a boot-time resume (drives the recovery ledger).
+    /// Whether a spill from an earlier attempt or process may exist:
+    /// only then does [`restore_or_new`] look for one and advance the
+    /// recovery ledger.
     pub recovery: bool,
 }
 
@@ -176,23 +189,11 @@ impl SpillPlan {
         self.durability.spill_file(self.id, &self.spec.bench)
     }
 
-    /// The self-describing metadata embedded in this run's snapshots.
-    pub fn meta(&self) -> SnapshotMeta {
-        SnapshotMeta {
-            benchmark: self.spec.bench.clone(),
-            scale: self.spec.scale,
-            manager: manager_label(self.spec.manager).to_owned(),
-            budget: self.spec.budget,
-            fault_seed: self.spec.seed,
-            storm: self.spec.storm,
-        }
-    }
-
     /// Spills one checkpoint: atomic file write first, journal marker
     /// second. A failed write skips the marker — better to re-do a chunk
     /// on the next boot than to journal a checkpoint that does not exist.
     pub fn spill(&self, sim: &mut Simulation<'_>) {
-        let bytes = sim.snapshot(&self.meta());
+        let bytes = sim.snapshot(&snapshot_meta(&self.spec));
         match powerchop_durable::write_atomic(&self.path(), &bytes) {
             Ok(()) => self
                 .durability
@@ -200,19 +201,134 @@ impl SpillPlan {
             Err(e) => eprintln!("powerchop-durable: checkpoint spill failed: {e}"),
         }
     }
+}
 
-    /// Restores this run from its spill checkpoint: `None` when no spill
-    /// is on disk, an error (never a panic) when the spill is corrupt or
-    /// was taken under another configuration.
-    pub fn restore<'p>(
-        &self,
-        program: &'p Program,
-        kind: ManagerKind,
-        cfg: &RunConfig,
-    ) -> Option<Result<Simulation<'p>, SimError>> {
-        let bytes = std::fs::read(self.path()).ok()?;
-        Some(Simulation::restore(program, kind, cfg, &bytes))
+/// A run built from its spec: the program, manager and configuration
+/// the spec describes, and the run key that names it in the result
+/// cache and the result log.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The guest program.
+    pub program: Program,
+    /// The manager kind.
+    pub kind: ManagerKind,
+    /// The full run configuration.
+    pub cfg: RunConfig,
+    /// [`run_key`] over the program and configuration fingerprints.
+    pub key: u128,
+}
+
+impl Prepared {
+    /// Prepares `program` under `cfg` (the design point's base
+    /// configuration) for `spec`: sets the instruction budget and the
+    /// fault schedule [`fault_config`] derives, then keys the run.
+    #[must_use]
+    pub fn new(program: Program, mut cfg: RunConfig, spec: &RunSpec) -> Self {
+        cfg.max_instructions = spec.budget;
+        cfg.faults = fault_config(spec.seed, spec.storm);
+        let key = run_key(
+            program.fingerprint(),
+            config_fingerprint(spec.manager, &cfg),
+        );
+        Prepared {
+            program,
+            kind: spec.manager,
+            cfg,
+            key,
+        }
     }
+}
+
+/// The self-describing metadata embedded in a run's snapshots.
+/// `fault_seed` is the seed a faulted run actually runs under (the
+/// default seed for a storm without one), so `resume` rebuilds the same
+/// fault schedule from the metadata alone.
+#[must_use]
+pub fn snapshot_meta(spec: &RunSpec) -> SnapshotMeta {
+    SnapshotMeta {
+        benchmark: spec.bench.clone(),
+        scale: spec.scale,
+        manager: manager_label(spec.manager).to_owned(),
+        budget: spec.budget,
+        fault_seed: spec.seed.or(spec.storm.then_some(DEFAULT_FAULT_SEED)),
+        storm: spec.storm,
+    }
+}
+
+/// Builds the simulation for a run and says whether it resumed. Only
+/// under a recovery plan is a spill looked for; then the recovery ledger
+/// gains the instructions the spill restored, and whatever the journal
+/// promised beyond that counts as re-done. A spill that is corrupt or
+/// was taken under another configuration is warned about and the run
+/// starts fresh, never panics.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] of a configuration the simulator rejects.
+pub fn restore_or_new<'p>(
+    ready: &'p Prepared,
+    plan: Option<&SpillPlan>,
+) -> Result<(Simulation<'p>, bool), SimError> {
+    let Prepared {
+        program, kind, cfg, ..
+    } = ready;
+    let fresh = || Simulation::new(program, *kind, cfg).map(|sim| (sim, false));
+    let Some(plan) = plan.filter(|p| p.recovery) else {
+        return fresh();
+    };
+    let path = plan.path();
+    let restored = std::fs::read(&path).ok().and_then(|bytes| {
+        Simulation::restore(program, *kind, cfg, &bytes)
+            .map_err(|e| {
+                eprintln!(
+                    "powerchop-durable: spill {} unusable ({e}); starting fresh",
+                    path.display()
+                );
+            })
+            .ok()
+    });
+    let resumed = restored.as_ref().map_or(0, Simulation::retired);
+    let promised = plan.resume_from.unwrap_or(0);
+    let ledger = &plan.durability.recovery;
+    ledger
+        .resumed_instructions
+        .fetch_add(resumed, Ordering::SeqCst);
+    ledger
+        .redone_instructions
+        .fetch_add(promised.saturating_sub(resumed), Ordering::SeqCst);
+    restored.map_or_else(fresh, |sim| Ok((sim, true)))
+}
+
+/// Steps `sim` in [`STEP_CHUNK`]s until it finishes or `deadline`
+/// passes (checked at every chunk boundary; `None` never expires), and
+/// returns whether it finished. With a `plan`, it spills every
+/// `spill_every` retired instructions while the run is unfinished: the
+/// chunk that finishes a run never spills, because the run's completion
+/// retires its intent and deletes its spills moments later. A run
+/// stopped by its deadline is handed back unspilled.
+///
+/// # Errors
+///
+/// Propagates the [`SimError`] of a failed step.
+pub fn run_until(
+    sim: &mut Simulation<'_>,
+    plan: Option<&SpillPlan>,
+    deadline: Option<Instant>,
+) -> Result<bool, SimError> {
+    let mut last_spill = sim.retired();
+    while !sim.is_done() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Ok(false);
+        }
+        sim.step_chunk(STEP_CHUNK)?;
+        if let (Some(plan), false) = (plan, sim.is_done()) {
+            if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
+                plan.spill(sim);
+                last_spill = sim.retired();
+            }
+        }
+    }
+    Ok(true)
 }
 
 /// Everything a caller needs back from boot-time recovery.
@@ -466,6 +582,41 @@ mod tests {
         assert!(r.active.load(Ordering::SeqCst));
         // Fresh ids never collide with journaled ones.
         assert!(b.durability.next_intent_id() > b.pending[0].id);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_meta_names_the_seed_a_faulted_run_runs_under() {
+        let mut s = spec("hmmer", ManagerKind::PowerChop);
+        assert_eq!(snapshot_meta(&s).fault_seed, Some(7));
+        s.seed = None;
+        assert_eq!(snapshot_meta(&s).fault_seed, None, "a clean run has none");
+        s.storm = true;
+        assert_eq!(snapshot_meta(&s).fault_seed, Some(DEFAULT_FAULT_SEED));
+    }
+
+    #[test]
+    fn a_corrupt_spill_under_recovery_runs_fresh_and_counts_its_promise_redone() {
+        let dir = temp_dir("corrupt-spill");
+        let b = boot(&dir, None, 1_000, &mut ResultCache::new(0)).expect("boot");
+        let s = spec("hmmer", ManagerKind::PowerChop);
+        let bench = powerchop_workloads::by_name("hmmer").expect("hmmer exists");
+        let program = bench.program(powerchop_workloads::Scale(s.scale));
+        let ready = Prepared::new(program, RunConfig::for_kind(bench.core_kind()), &s);
+        let plan = SpillPlan {
+            durability: Arc::clone(&b.durability),
+            id: b.durability.next_intent_id(),
+            spec: s,
+            resume_from: Some(60_000),
+            recovery: true,
+        };
+        std::fs::write(plan.path(), b"definitely not a snapshot").expect("write spill");
+        let (sim, resumed) = restore_or_new(&ready, Some(&plan)).expect("a fresh run builds");
+        assert!(!resumed, "a corrupt spill never resumes");
+        assert_eq!(sim.retired(), 0, "the run starts from scratch");
+        let r = &b.durability.recovery;
+        assert_eq!(r.resumed_instructions.load(Ordering::SeqCst), 0);
+        assert_eq!(r.redone_instructions.load(Ordering::SeqCst), 60_000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,8 +31,9 @@
 //!   `powerchop-telemetry`, which owns both JSON sides).
 //! - [`protocol`] — request validation and reply rendering.
 //! - [`cache`] — the sharded LRU result cache.
-//! - [`durability`] — journal/spill/result-log glue over
-//!   `powerchop-durable`, shared with the CLI's `supervise` sweep.
+//! - [`durability`] — the one run path (builder, resume, stepping
+//!   loop, snapshot metadata) and the journal/spill/result-log glue over
+//!   `powerchop-durable`, shared with the CLI.
 //! - [`net`] — raw epoll/eventfd syscall wrappers (the only unsafe code).
 //! - [`wheel`] — the timing wheel behind read/write deadlines.
 //! - [`server`] — the epoll event loop, dispatch, drain.

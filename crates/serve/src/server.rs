@@ -64,11 +64,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{config_fingerprint, ManagerKind, RunConfig, RunReport, Simulation, STEP_CHUNK};
-use powerchop_checkpoint::run_key;
+use powerchop::{RunConfig, RunReport, SimError, Simulation, STEP_CHUNK};
 use powerchop_durable::PendingIntent;
 use powerchop_exec::{JobPanic, KillWorker, SubmitError, WorkerPool};
-use powerchop_gisa::Program;
 use powerchop_resilience::{Admission, CircuitBreaker};
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{
@@ -77,11 +75,11 @@ use powerchop_telemetry::{
 use powerchop_workloads::Scale;
 
 use crate::cache::{ResultCache, ShardedCache};
-use crate::durability::{self, Durability, SpillPlan};
+use crate::durability::{self, Durability, Prepared, SpillPlan};
 use crate::net::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::protocol::{
-    error_reply, fault_config, parse_request, run_reply, sweep_reply, Limits, ReqError, Request,
-    RunSpec, SweepOutcome,
+    error_reply, parse_request, run_reply, sweep_reply, Limits, ReqError, Request, RunSpec,
+    SweepOutcome,
 };
 use crate::report::report_to_json;
 use crate::wheel::TimerWheel;
@@ -1887,36 +1885,6 @@ fn refusal_metric(code: u16) -> &'static str {
     }
 }
 
-/// The program, manager and configuration a validated spec describes,
-/// and the cache key that identifies them.
-struct Prepared {
-    program: Program,
-    kind: ManagerKind,
-    cfg: RunConfig,
-    key: u128,
-}
-
-fn prepare(spec: &RunSpec) -> Result<Prepared, ReqError> {
-    // The spec was validated at parse time; a vanished benchmark here
-    // would be a roster bug, reported as 500 rather than a panic.
-    let b = powerchop_workloads::by_name(&spec.bench)
-        .ok_or_else(|| ReqError::internal(format!("benchmark {:?} vanished", spec.bench)))?;
-    let mut cfg = RunConfig::for_kind(b.core_kind());
-    cfg.max_instructions = spec.budget;
-    cfg.faults = fault_config(spec.seed, spec.storm);
-    let program = b.program(Scale(spec.scale));
-    let key = run_key(
-        program.fingerprint(),
-        config_fingerprint(spec.manager, &cfg),
-    );
-    Ok(Prepared {
-        program,
-        kind: spec.manager,
-        cfg,
-        key,
-    })
-}
-
 /// A row's front half on the loop: prepare it and look it up in the
 /// cache. With a client waiting the lookup is charged to its cache span
 /// and counted, and a lone run must pass the breaker, then journals its
@@ -1929,7 +1897,17 @@ fn admit_row(
     intent: &mut Option<u64>,
     spec: &RunSpec,
 ) -> Result<Arc<Prepared>, SweepOutcome> {
-    let prepared = prepare(spec).map_err(SweepOutcome::Failed)?;
+    let Some(b) = powerchop_workloads::by_name(&spec.bench) else {
+        // The spec was validated at parse time: a vanished benchmark is
+        // a roster bug, reported as 500 rather than a panic.
+        let vanished = format!("benchmark {:?} vanished", spec.bench);
+        return Err(SweepOutcome::Failed(ReqError::internal(vanished)));
+    };
+    let prepared = Prepared::new(
+        b.program(Scale(spec.scale)),
+        RunConfig::for_kind(b.core_kind()),
+        spec,
+    );
     let cache_started = Instant::now();
     let hit = state
         .cache
@@ -2028,14 +2006,14 @@ struct RunDone {
 /// its deadline, `deadline_ms` after submission, passes (one too far out
 /// to represent never does). The deadline is checked before the
 /// simulation is even built — a run whose deadline expired in the queue
-/// never computes — and then at every step-chunk boundary. Failures are
-/// the typed 408 or 500 the client will see.
+/// never computes — and then at every step-chunk boundary by
+/// [`durability::run_until`]. Failures are the typed 408 or 500 the
+/// client will see.
 ///
-/// The optional [`SpillPlan`] adds the durability hooks: it restores
-/// the simulation from its spill checkpoint (resume path) and spills a
-/// fresh snapshot every `spill_every` retired instructions while the run
-/// is unfinished, journaling each spill *after* its file is durably in
-/// place — the journal never promises a checkpoint that is not on disk.
+/// The optional [`SpillPlan`] adds the durability hooks: a recovery
+/// plan resumes the run from its spill checkpoint
+/// ([`durability::restore_or_new`]), and every plan spills the
+/// unfinished run every `spill_every` retired instructions.
 /// With `traced` set an enabled [`Tracer`] is attached to the run via
 /// [`Simulation::attach_tracer`], so the flight recorder captures the
 /// run's phase spans; tracing never changes simulated state, so traced
@@ -2050,33 +2028,20 @@ fn run_until(
     // The wait between submission and pickup *is* the queue span.
     let queue_ns = ns_since(submitted);
     let deadline = submitted.checked_add(Duration::from_millis(deadline_ms));
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    if expired() {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
         return Err(ReqError::deadline(deadline_ms));
     }
     let compute_started = Instant::now();
-    let mut sim = restore_or_new(ready, plan)?;
+    let internal = |e: SimError| ReqError::internal(e.to_string());
+    let (mut sim, _) = durability::restore_or_new(ready, plan).map_err(internal)?;
     if traced {
         sim.attach_tracer(Tracer::enabled(TelemetryConfig {
             ring_capacity: 256,
             sample_every_cycles: 0,
         }));
     }
-    let mut last_spill = sim.retired();
-    while !sim.is_done() {
-        if expired() {
-            return Err(ReqError::deadline(deadline_ms));
-        }
-        sim.step_chunk(STEP_CHUNK)
-            .map_err(|e| ReqError::internal(e.to_string()))?;
-        // A run the chunk just finished is retired moments from now, and
-        // its spill with it: checkpoint only work still in progress.
-        if let (Some(plan), false) = (plan, sim.is_done()) {
-            if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
-                plan.spill(&mut sim);
-                last_spill = sim.retired();
-            }
-        }
+    if !durability::run_until(&mut sim, plan, deadline).map_err(internal)? {
+        return Err(ReqError::deadline(deadline_ms));
     }
     let (report, tracer) = sim.into_report_with_telemetry();
     let trace_events = tracer
@@ -2089,35 +2054,6 @@ fn run_until(
         compute_ns: ns_since(compute_started),
         trace_events,
     })
-}
-
-/// Builds the simulation for a planned run: from its spill checkpoint
-/// when resuming (tracking the recovered-vs-redone instruction ledger),
-/// fresh otherwise. A lost or unreadable spill degrades to a fresh run
-/// — with the re-done instructions honestly counted — never a panic.
-fn restore_or_new<'p>(
-    ready: &'p Prepared,
-    plan: Option<&SpillPlan>,
-) -> Result<Simulation<'p>, ReqError> {
-    let Prepared {
-        program, kind, cfg, ..
-    } = ready;
-    let fresh =
-        || Simulation::new(program, *kind, cfg).map_err(|e| ReqError::internal(e.to_string()));
-    let Some(plan) = plan.filter(|p| p.recovery) else {
-        return fresh();
-    };
-    let restored = plan.restore(program, *kind, cfg).and_then(Result::ok);
-    let resumed = restored.as_ref().map_or(0, Simulation::retired);
-    let promised = plan.resume_from.unwrap_or(0);
-    let ledger = &plan.durability.recovery;
-    ledger
-        .resumed_instructions
-        .fetch_add(resumed, Ordering::SeqCst);
-    ledger
-        .redone_instructions
-        .fetch_add(promised.saturating_sub(resumed), Ordering::SeqCst);
-    restored.map_or_else(fresh, Ok)
 }
 
 /// A row's completion callback, on the worker that ran it: folds the
@@ -2338,6 +2274,7 @@ fn http_response(state: &Arc<State>, path: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerchop::ManagerKind;
 
     /// A small hmmer run, prepared the way the daemon prepares one.
     fn hmmer() -> Prepared {
