@@ -8,25 +8,41 @@
 //! | `rbx`     | guest integer register file base               |
 //! | `r12–r15` | up to 4 hottest mapped guest integer registers |
 //! | `rax/rcx/rdx`, `xmm0/xmm1` | scratch                       |
+//! | `rdi/rsi/rdx/rcx` | helper arguments (SysV order)          |
 //!
-//! Guest fp registers live at `[rbx + fp_delta + 8*idx]`. Instructions
-//! whose timing accounting is pure issue-slot arithmetic get inline
-//! templates; everything else calls the slow-step helper, which runs the
-//! exact interpreter step. Before every helper call (and at trace exit)
-//! the mapped registers and the batched instruction/slot counts are
-//! flushed, so the helper — and the host after the trampoline returns —
-//! always sees architecturally-consistent guest state.
+//! Guest fp registers live at `[rbx + fp_delta + 8*idx]`. Every
+//! instruction but `jr`/`call`/`ret`/`halt`, a conditional branch in
+//! mid-trace (superblocks) and `fmadd` without host FMA has a template:
+//!
+//! - ALU, multiply, FP, fused jumps and nops run entirely inline.
+//! - Loads and stores compute `rs + imm` inline and call a narrow helper
+//!   for guest memory and the modelled caches; a load's value comes back
+//!   in `rax` and goes straight to `rd`.
+//! - The conditional branch that ends a trace evaluates its condition
+//!   inline (`cmp` + `setcc`) and calls a helper for the predictor and
+//!   the successor PC.
+//! - The seven vector ops pass their integer operand (the `vsplat`
+//!   source or the `vload`/`vstore` base) to a helper that runs the
+//!   lanes and the VPU charge; `vredsum`'s sum comes back in `rax`.
+//!
+//! Narrow helpers touch no guest integer register, so the mapped
+//! registers stay live in r12–r15 across them. Instruction and issue-slot
+//! counts of every templated instruction are summed at compile time.
+//! Only before the slow-step helper (which runs the exact interpreter
+//! step on the in-memory register file) and at trace exit are the mapped
+//! registers and the pending counts flushed.
 
-use powerchop_gisa::{Inst, InstClass, Pc, Reg};
+use powerchop_gisa::{Cond, Inst, InstClass, Pc, Reg};
 
 use super::encoder::{
     AluOp, Asm, Cc, Gpr, R12, R13, R14, R15, RAX, RBP, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1,
 };
 use super::runtime::{
-    OFF_FINAL_PC, OFF_HELPER, OFF_INT_BASE, OFF_NATIVE_INSTS, OFF_NATIVE_SLOTS, OFF_PC_VALID,
+    OFF_BRANCH, OFF_FINAL_PC, OFF_INT_BASE, OFF_LOAD, OFF_NATIVE_INSTS, OFF_NATIVE_SLOTS,
+    OFF_PC_VALID, OFF_SLOW_STEP, OFF_STORE, OFF_VECTOR,
 };
 
-/// Traces with fewer native instructions than this aren't worth the
+/// Traces with fewer templated instructions than this aren't worth the
 /// trampoline round trip; the interpreter runs them.
 const MIN_NATIVE: usize = 2;
 
@@ -46,11 +62,11 @@ struct RegMap {
 }
 
 impl RegMap {
-    /// Maps the most frequently used guest int registers (in native
+    /// Maps the most frequently used guest int registers (in templated
     /// instructions; ties broken by lower index) onto r12–r15.
     fn choose(insts: &[Inst], fma: bool) -> RegMap {
         let mut freq = [0u32; 32];
-        for inst in insts.iter().filter(|i| is_native(i, fma)) {
+        for (_, inst) in templated(insts, fma) {
             for r in int_regs_of(inst) {
                 freq[r.index()] += 1;
             }
@@ -71,11 +87,13 @@ impl RegMap {
     }
 }
 
-/// The guest integer registers a native instruction reads or writes.
+/// The guest integer registers a templated instruction reads or writes.
 fn int_regs_of(inst: &Inst) -> Vec<Reg> {
     match *inst {
-        Inst::Li { rd, .. } => vec![rd],
-        Inst::Addi { rd, rs, .. } => vec![rd, rs],
+        Inst::Li { rd, .. } | Inst::Vredsum { rd, .. } => vec![rd],
+        Inst::Addi { rd, rs, .. } | Inst::Load { rd, rs, .. } => vec![rd, rs],
+        Inst::Store { rs, rbase, .. } => vec![rs, rbase],
+        Inst::Branch { rs, rt, .. } => vec![rs, rt],
         Inst::Add { rd, rs, rt }
         | Inst::Sub { rd, rs, rt }
         | Inst::Mul { rd, rs, rt }
@@ -86,16 +104,22 @@ fn int_regs_of(inst: &Inst) -> Vec<Reg> {
         | Inst::Shr { rd, rs, rt }
         | Inst::Slt { rd, rs, rt }
         | Inst::Rem { rd, rs, rt } => vec![rd, rs, rt],
-        Inst::Fcvt { rs, .. } => vec![rs],
+        Inst::Fcvt { rs, .. }
+        | Inst::Vsplat { rs, .. }
+        | Inst::Vload { rs, .. }
+        | Inst::Vstore { rs, .. } => vec![rs],
         _ => Vec::new(),
     }
 }
 
-/// Whether `inst` has an inline native template. The criterion is that
-/// `CoreModel::on_step(…, Translated)` for its class reduces to
-/// `instructions += 1; slots += k` — no cache, predictor, VPU or
-/// control-flow state — so batched accounting is arithmetically identical.
-fn is_native(inst: &Inst, fma: bool) -> bool {
+/// Whether `inst` has a template, `last` saying whether it ends the
+/// trace. The criterion is that `CoreModel::on_step(…, Translated)` for
+/// its class is `instructions += 1; slots += k` plus at most one call to
+/// a stateful timing method (`scalar_access`, `branch_outcome`,
+/// `vector_op`) that a narrow helper can make with operands computed
+/// natively, so batched retirement and slot accounting is arithmetically
+/// identical.
+fn has_template(inst: &Inst, last: bool, fma: bool) -> bool {
     match inst {
         Inst::Li { .. }
         | Inst::Addi { .. }
@@ -113,13 +137,34 @@ fn is_native(inst: &Inst, fma: bool) -> bool {
         | Inst::Fadd { .. }
         | Inst::Fmul { .. }
         | Inst::Fcvt { .. }
+        | Inst::Vadd { .. }
+        | Inst::Vmul { .. }
+        | Inst::Vmadd { .. }
+        | Inst::Vsplat { .. }
+        | Inst::Vredsum { .. }
+        | Inst::Vload { .. }
+        | Inst::Vstore { .. }
+        | Inst::Load { .. }
+        | Inst::Store { .. }
         | Inst::Nop
         | Inst::Jmp { .. } => true,
+        // A mid-trace (superblock) branch may side-exit; the slow-step
+        // helper checks its successor against the recorded path.
+        Inst::Branch { .. } => last,
         // `f64::mul_add` must stay fused; without FMA hardware the helper
         // runs the interpreter's (software-fused) version.
         Inst::Fmadd { .. } => fma,
         _ => false,
     }
+}
+
+/// The templated instructions of a trace, with their trace indices.
+fn templated(insts: &[Inst], fma: bool) -> impl Iterator<Item = (usize, &Inst)> {
+    let last = insts.len().wrapping_sub(1);
+    insts
+        .iter()
+        .enumerate()
+        .filter(move |&(i, inst)| has_template(inst, i == last, fma))
 }
 
 /// Issue slots `on_step(…, Translated)` charges for a native class.
@@ -141,8 +186,7 @@ pub(super) fn compile_trace(
     if trace.is_empty() || insts.len() != trace.len() {
         return None;
     }
-    let native_count = insts.iter().filter(|i| is_native(i, fma)).count();
-    if native_count < MIN_NATIVE {
+    if templated(insts, fma).count() < MIN_NATIVE {
         return None;
     }
     let map = RegMap::choose(insts, fma);
@@ -179,16 +223,16 @@ pub(super) fn compile_trace(
         }
     };
 
+    let last = insts.len() - 1;
     for (i, inst) in insts.iter().enumerate() {
-        if is_native(inst, fma) {
-            emit_native(&mut asm, inst, &map, &fp);
+        if has_template(inst, i == last, fma) {
+            emit_template(&mut asm, inst, i, trace[i], &map, &fp);
             pending_insts += 1;
             pending_slots += slots_of(inst.class()) as u32;
         } else {
             flush(&mut asm, &map, &mut pending_insts, &mut pending_slots);
-            asm.mov_rr(RDI, RBP);
             asm.mov_r_imm(RSI, i as i64);
-            asm.call_mem(RBP, OFF_HELPER);
+            call_helper(&mut asm, OFF_SLOW_STEP);
             asm.test32_rr(RAX, RAX);
             asm.jcc(Cc::Ne, exit);
             // The helper ran the interpreter on the in-memory register
@@ -199,19 +243,22 @@ pub(super) fn compile_trace(
         }
     }
 
-    // If the trace ends on a native instruction the PC was never
-    // materialized; record the statically-known successor for the host.
-    // (A trace ending on a helper instruction always exits through the
-    // helper, which leaves the interpreter-updated PC in place.)
-    let last = &insts[insts.len() - 1];
-    if is_native(last, fma) {
+    // A templated trace tail never materialized the PC; record its
+    // successor for the host. A jump's and a fall-through's are static;
+    // a branch's helper already recorded the one it resolved. (A trace
+    // ending on a slow-step instruction always exits through the helper,
+    // which leaves the interpreter-updated PC in place.)
+    if has_template(&insts[last], true, fma) {
         flush(&mut asm, &map, &mut pending_insts, &mut pending_slots);
-        let final_pc = match last {
-            Inst::Jmp { target } => target.0,
-            _ => trace[trace.len() - 1].0 + 1,
+        let final_pc = match insts[last] {
+            Inst::Jmp { target } => Some(target.0),
+            Inst::Branch { .. } => None,
+            _ => Some(trace[last].next().0),
         };
-        asm.mov_mem32_imm(RBP, OFF_FINAL_PC, final_pc);
-        asm.mov_mem8_imm(RBP, OFF_PC_VALID, 1);
+        if let Some(pc) = final_pc {
+            asm.mov_mem32_imm(RBP, OFF_FINAL_PC, pc);
+            asm.mov_mem8_imm(RBP, OFF_PC_VALID, 1);
+        }
     }
 
     asm.bind(exit);
@@ -221,6 +268,45 @@ pub(super) fn compile_trace(
     }
     asm.ret();
     asm.finish()
+}
+
+/// Calls the helper whose pointer sits at `[rbp + off]`, passing the
+/// context as its first argument (the caller has placed the rest).
+fn call_helper(asm: &mut Asm, off: i32) {
+    asm.mov_rr(RDI, RBP);
+    asm.call_mem(RBP, off);
+}
+
+/// `dst += imm`, wrapping; `rcx` holds an immediate beyond 32 bits.
+fn add_imm(asm: &mut Asm, dst: Gpr, imm: i64) {
+    debug_assert!(dst != RCX, "rcx is the wide-immediate scratch");
+    if imm == 0 {
+        return;
+    }
+    if let Ok(imm32) = i32::try_from(imm) {
+        asm.alu_r_imm32(AluOp::Add, dst, imm32);
+    } else {
+        asm.mov_r_imm(RCX, imm);
+        asm.alu_rr(AluOp::Add, dst, RCX);
+    }
+}
+
+/// `dst = rs + imm`, wrapping: `addi`'s sum or a memory instruction's
+/// address.
+fn address(asm: &mut Asm, dst: Gpr, rs: Loc, imm: i64) {
+    load(asm, dst, rs);
+    add_imm(asm, dst, imm);
+}
+
+/// The host condition code that computes a guest branch condition after
+/// `cmp rs, rt` (signed, like [`Cond::eval`]).
+fn cc_of(cond: Cond) -> Cc {
+    match cond {
+        Cond::Eq => Cc::E,
+        Cond::Ne => Cc::Ne,
+        Cond::Lt => Cc::L,
+        Cond::Ge => Cc::Ge,
+    }
 }
 
 fn load(asm: &mut Asm, dst: Gpr, loc: Loc) {
@@ -244,7 +330,15 @@ fn alu(asm: &mut Asm, op: AluOp, dst: Gpr, src: Loc) {
     }
 }
 
-fn emit_native(asm: &mut Asm, inst: &Inst, map: &RegMap, fp: &dyn Fn(usize) -> i32) {
+/// Emits the template of `inst`, the trace's `i`-th instruction at `pc`.
+fn emit_template(
+    asm: &mut Asm,
+    inst: &Inst,
+    i: usize,
+    pc: Pc,
+    map: &RegMap,
+    fp: &dyn Fn(usize) -> i32,
+) {
     match *inst {
         Inst::Li { rd, imm } => match (map.loc(rd), i32::try_from(imm)) {
             (Loc::Host(r), _) => asm.mov_r_imm(r, imm),
@@ -255,13 +349,7 @@ fn emit_native(asm: &mut Asm, inst: &Inst, map: &RegMap, fp: &dyn Fn(usize) -> i
             }
         },
         Inst::Addi { rd, rs, imm } => {
-            load(asm, RAX, map.loc(rs));
-            if let Ok(imm32) = i32::try_from(imm) {
-                asm.alu_r_imm32(AluOp::Add, RAX, imm32);
-            } else {
-                asm.mov_r_imm(RCX, imm);
-                asm.alu_rr(AluOp::Add, RAX, RCX);
-            }
+            address(asm, RAX, map.loc(rs), imm);
             store(asm, map.loc(rd), RAX);
         }
         Inst::Add { rd, rs, rt }
@@ -304,7 +392,7 @@ fn emit_native(asm: &mut Asm, inst: &Inst, map: &RegMap, fp: &dyn Fn(usize) -> i
             asm.xor32_rr(RCX, RCX);
             load(asm, RAX, map.loc(rs));
             alu(asm, AluOp::Cmp, RAX, map.loc(rt));
-            asm.setl_cl();
+            asm.setcc(Cc::L, RCX);
             store(asm, map.loc(rd), RCX);
         }
         Inst::Rem { rd, rs, rt } => {
@@ -351,9 +439,59 @@ fn emit_native(asm: &mut Asm, inst: &Inst, map: &RegMap, fp: &dyn Fn(usize) -> i
             asm.cvtsi2sd_x_r(XMM0, RAX);
             asm.movsd_mem_x(RBX, fp(fd.index()), XMM0);
         }
+        // helper(ctx, addr) -> value
+        Inst::Load { rd, rs, imm } => {
+            address(asm, RSI, map.loc(rs), imm);
+            call_helper(asm, OFF_LOAD);
+            store(asm, map.loc(rd), RAX);
+        }
+        // helper(ctx, addr, value)
+        Inst::Store { rs, rbase, imm } => {
+            address(asm, RSI, map.loc(rbase), imm);
+            load(asm, RDX, map.loc(rs));
+            call_helper(asm, OFF_STORE);
+        }
+        // helper(ctx, pc, target, taken); only ever the trace's last
+        // instruction, so the helper records the successor PC.
+        Inst::Branch {
+            cond,
+            rs,
+            rt,
+            target,
+        } => {
+            asm.xor32_rr(RCX, RCX);
+            load(asm, RAX, map.loc(rs));
+            alu(asm, AluOp::Cmp, RAX, map.loc(rt));
+            asm.setcc(cc_of(cond), RCX);
+            asm.mov_r_imm(RSI, i64::from(pc.0));
+            asm.mov_r_imm(RDX, i64::from(target.0));
+            call_helper(asm, OFF_BRANCH);
+        }
+        // helper(ctx, index, operand) -> vredsum's sum
+        Inst::Vadd { .. }
+        | Inst::Vmul { .. }
+        | Inst::Vmadd { .. }
+        | Inst::Vsplat { .. }
+        | Inst::Vredsum { .. }
+        | Inst::Vload { .. }
+        | Inst::Vstore { .. } => {
+            match *inst {
+                Inst::Vsplat { rs, .. } => load(asm, RDX, map.loc(rs)),
+                Inst::Vload { rs, imm, .. } | Inst::Vstore { rs, imm, .. } => {
+                    address(asm, RDX, map.loc(rs), imm);
+                }
+                // The other four ignore the operand.
+                _ => {}
+            }
+            asm.mov_r_imm(RSI, i as i64);
+            call_helper(asm, OFF_VECTOR);
+            if let Inst::Vredsum { rd, .. } = *inst {
+                store(asm, map.loc(rd), RAX);
+            }
+        }
         // Pure accounting: a fused jump's successor is statically the
         // next trace element, and a nop does nothing.
         Inst::Jmp { .. } | Inst::Nop => {}
-        _ => unreachable!("emit_native called on a helper instruction"),
+        _ => unreachable!("emit_template called on a slow-step instruction"),
     }
 }

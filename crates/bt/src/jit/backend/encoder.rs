@@ -71,6 +71,10 @@ pub(crate) enum Cc {
     E,
     /// Not equal / not zero.
     Ne,
+    /// Signed less than.
+    L,
+    /// Signed greater than or equal.
+    Ge,
 }
 
 impl Cc {
@@ -78,6 +82,8 @@ impl Cc {
         match self {
             Cc::E => 0x4,
             Cc::Ne => 0x5,
+            Cc::L => 0xC,
+            Cc::Ge => 0xD,
         }
     }
 }
@@ -298,9 +304,14 @@ impl Asm {
         self.modrm_rr(7, r.0);
     }
 
-    /// `setl cl`.
-    pub(crate) fn setl_cl(&mut self) {
-        self.bytes(&[0x0F, 0x9C, 0xC1]);
+    /// `setcc r8` — the low byte of `r` becomes 1 if `cc` holds, else 0;
+    /// the upper bytes are untouched, so callers zero `r` before the
+    /// flag-setting compare. `r` is one of rax..rbx, whose low bytes
+    /// need no REX prefix.
+    pub(crate) fn setcc(&mut self, cc: Cc, r: Gpr) {
+        debug_assert!(r.0 < 4, "setcc targets al, cl, dl or bl");
+        self.bytes(&[0x0F, 0x90 | cc.nibble()]);
+        self.modrm_rr(0, r.0);
     }
 
     /// `xor dst32, src32` — the canonical zeroing idiom.

@@ -4,12 +4,17 @@
 //! regions; this module closes that gap for the simulator. Hot
 //! [`Translation`]s are compiled to x86-64 machine code at install time (or
 //! on demand after a checkpoint restore) and executed through an
-//! `extern "C"` trampoline over the guest CPU's register file. Instruction
-//! classes whose timing-model accounting reduces to pure issue-slot
-//! arithmetic (integer/float ALU, multiplies, fused jumps, nops) run as
-//! inline native templates; everything with microarchitectural side effects
-//! (memory, branches, vector ops, calls, halts) is executed by a helper
-//! that calls the *exact interpreter step*, so JIT-on and JIT-off runs are
+//! `extern "C"` trampoline over the guest CPU's register file. Every
+//! instruction except `jr`/`call`/`ret`/`halt`, a mid-trace superblock
+//! branch and `fmadd` without host FMA has a native template. ALU, FP and
+//! jump templates run entirely inline. Loads, stores, the trace-final
+//! conditional branch and the seven vector ops compute their operands
+//! natively and call one narrow helper each for the work that is
+//! genuinely stateful: guest memory plus the modelled caches, the
+//! predictor plus the successor PC, or the vector lanes plus the VPU
+//! charge — the same `CoreModel`/`Cpu` methods the interpreter's step
+//! calls. The few remaining instructions run the *exact interpreter step*
+//! through a slow-step helper. JIT-on and JIT-off runs are therefore
 //! bit-identical: same retired counts, same uarch/power accounting, same
 //! artifacts.
 //!
@@ -142,7 +147,7 @@ impl powerchop_telemetry::MetricSource for JitReport {
 /// control flow left the recorded path early.
 #[derive(Debug, Clone, Copy)]
 pub struct JitRunOutcome {
-    /// Guest instructions executed (native + helper steps), equal to the
+    /// Guest instructions executed (templated + slow steps), equal to the
     /// interpreter loop's `executed` count for the same dispatch.
     pub executed: u64,
     /// Whether the trace side-exited.

@@ -195,8 +195,9 @@ impl Cpu {
         (int_base, (fp_base as isize) - (int_base as isize))
     }
 
-    /// BT-backend hook: sets the program counter. Native trace code only
-    /// executes instructions whose successor is statically known, so the
+    /// BT-backend hook: sets the program counter. Native trace code sets
+    /// only a successor that is statically known or that it resolved
+    /// exactly as [`Cpu::step`] would (a trace-final branch), so the
     /// value written is always the PC the interpreter would have reached.
     #[doc(hidden)]
     pub fn jit_set_pc(&mut self, pc: Pc) {
@@ -263,6 +264,78 @@ impl Cpu {
         }
     }
 
+    /// Executes one of the seven vector instructions on the vector
+    /// register file and `mem`, given its integer operand explicitly:
+    /// the `vsplat` source value, or the `vload`/`vstore` base address
+    /// (`rs + imm`, wrapping). The other four ignore `operand`.
+    ///
+    /// Returns `vredsum`'s sum (0 for the others), which the caller
+    /// writes to `rd`, and the data-memory access of a `vload` or
+    /// `vstore`. Touches no integer register, the PC or the retired
+    /// count; a non-vector `inst` does nothing. [`Cpu::step`] runs every
+    /// vector instruction through this method, and so does the BT
+    /// layer's native code, which keeps integer registers in host
+    /// registers.
+    pub fn vector_op(
+        &mut self,
+        inst: Inst,
+        operand: i64,
+        mem: &mut Memory,
+    ) -> (i64, Option<MemAccess>) {
+        let vector_access = |is_store| MemAccess {
+            addr: operand as u64,
+            size: 8 * VLEN as u32,
+            is_store,
+        };
+        match inst {
+            Inst::Vadd { vd, vs, vt } => {
+                let (a, b) = (self.vec[vs.index()], self.vec[vt.index()]);
+                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
+                    *d = a[lane].wrapping_add(b[lane]);
+                }
+            }
+            Inst::Vmul { vd, vs, vt } => {
+                let (a, b) = (self.vec[vs.index()], self.vec[vt.index()]);
+                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
+                    *d = a[lane].wrapping_mul(b[lane]);
+                }
+            }
+            Inst::Vmadd { vd, vs, vt, va } => {
+                let (a, b, c) = (
+                    self.vec[vs.index()],
+                    self.vec[vt.index()],
+                    self.vec[va.index()],
+                );
+                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
+                    *d = a[lane].wrapping_mul(b[lane]).wrapping_add(c[lane]);
+                }
+            }
+            Inst::Vsplat { vd, .. } => self.vec[vd.index()] = [operand; VLEN],
+            Inst::Vredsum { vs, .. } => {
+                let sum = self.vec[vs.index()]
+                    .iter()
+                    .fold(0i64, |acc, lane| acc.wrapping_add(*lane));
+                return (sum, None);
+            }
+            Inst::Vload { vd, .. } => {
+                let base = operand as u64;
+                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
+                    *d = mem.read_i64(base.wrapping_add(8 * lane as u64));
+                }
+                return (0, Some(vector_access(false)));
+            }
+            Inst::Vstore { vs, .. } => {
+                let base = operand as u64;
+                for (lane, value) in self.vec[vs.index()].iter().enumerate() {
+                    mem.write_i64(base.wrapping_add(8 * lane as u64), *value);
+                }
+                return (0, Some(vector_access(true)));
+            }
+            _ => {}
+        }
+        (0, None)
+    }
+
     #[inline]
     fn exec(&mut self, inst: Inst, pc: Pc, mem: &mut Memory) -> Result<StepInfo, GisaError> {
         let class = inst.class();
@@ -324,57 +397,25 @@ impl Cpu {
                     self.fp[fs.index()].mul_add(self.fp[ft.index()], self.fp[fa.index()]);
             }
             Inst::Fcvt { fd, rs } => self.fp[fd.index()] = self.int[rs.index()] as f64,
-            Inst::Vadd { vd, vs, vt } => {
-                let (a, b) = (self.vec[vs.index()], self.vec[vt.index()]);
-                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
-                    *d = a[lane].wrapping_add(b[lane]);
+            Inst::Vadd { .. }
+            | Inst::Vmul { .. }
+            | Inst::Vmadd { .. }
+            | Inst::Vsplat { .. }
+            | Inst::Vredsum { .. }
+            | Inst::Vload { .. }
+            | Inst::Vstore { .. } => {
+                let operand = match inst {
+                    Inst::Vsplat { rs, .. } => self.int[rs.index()],
+                    Inst::Vload { rs, imm, .. } | Inst::Vstore { rs, imm, .. } => {
+                        self.int[rs.index()].wrapping_add(imm)
+                    }
+                    _ => 0,
+                };
+                let (sum, access) = self.vector_op(inst, operand, mem);
+                if let Inst::Vredsum { rd, .. } = inst {
+                    self.int[rd.index()] = sum;
                 }
-            }
-            Inst::Vmul { vd, vs, vt } => {
-                let (a, b) = (self.vec[vs.index()], self.vec[vt.index()]);
-                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
-                    *d = a[lane].wrapping_mul(b[lane]);
-                }
-            }
-            Inst::Vmadd { vd, vs, vt, va } => {
-                let (a, b, c) = (
-                    self.vec[vs.index()],
-                    self.vec[vt.index()],
-                    self.vec[va.index()],
-                );
-                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
-                    *d = a[lane].wrapping_mul(b[lane]).wrapping_add(c[lane]);
-                }
-            }
-            Inst::Vsplat { vd, rs } => {
-                self.vec[vd.index()] = [self.int[rs.index()]; VLEN];
-            }
-            Inst::Vredsum { rd, vs } => {
-                self.int[rd.index()] = self.vec[vs.index()]
-                    .iter()
-                    .fold(0i64, |acc, lane| acc.wrapping_add(*lane));
-            }
-            Inst::Vload { vd, rs, imm } => {
-                let base = (self.int[rs.index()].wrapping_add(imm)) as u64;
-                for (lane, d) in self.vec[vd.index()].iter_mut().enumerate() {
-                    *d = mem.read_i64(base.wrapping_add(8 * lane as u64));
-                }
-                mem_access = Some(MemAccess {
-                    addr: base,
-                    size: 8 * VLEN as u32,
-                    is_store: false,
-                });
-            }
-            Inst::Vstore { vs, rs, imm } => {
-                let base = (self.int[rs.index()].wrapping_add(imm)) as u64;
-                for (lane, value) in self.vec[vs.index()].iter().enumerate() {
-                    mem.write_i64(base.wrapping_add(8 * lane as u64), *value);
-                }
-                mem_access = Some(MemAccess {
-                    addr: base,
-                    size: 8 * VLEN as u32,
-                    is_store: true,
-                });
+                mem_access = access;
             }
             Inst::Load { rd, rs, imm } => {
                 let addr = (self.int[rs.index()].wrapping_add(imm)) as u64;

@@ -7,7 +7,7 @@
 //! paper's results are driven by *relative* unit criticality, which this
 //! fidelity captures.
 
-use powerchop_gisa::{InstClass, StepInfo, VLEN};
+use powerchop_gisa::{InstClass, MemAccess, StepInfo, VLEN};
 
 use crate::bpu::Bpu;
 use crate::cache::{Cache, MlcWayState};
@@ -253,7 +253,11 @@ impl CoreModel {
         self.mlc.awake_fraction()
     }
 
-    /// Feeds one executed instruction into the timing model.
+    /// Feeds one executed instruction into the timing model: retirement
+    /// and the issue slot of its mode here, then the class's stateful
+    /// work through [`CoreModel::scalar_access`],
+    /// [`CoreModel::branch_outcome`] or [`CoreModel::vector_op`] — the
+    /// same three methods the BT layer's native code calls.
     pub fn on_step(&mut self, step: &StepInfo, mode: ExecMode) {
         self.stats.instructions += 1;
         self.slots += match mode {
@@ -262,43 +266,15 @@ impl CoreModel {
         };
 
         match step.class {
-            InstClass::VecAlu => {
-                self.stats.vec_ops += 1;
-                self.charge_vector_op();
-            }
-            InstClass::VecMem => {
-                self.stats.vec_ops += 1;
-                self.charge_vector_op();
-                if let Some(mem) = step.mem {
-                    self.count_mem_dir(mem.is_store);
-                    if self.vpu.active() {
-                        self.access_lines(mem.addr, u64::from(mem.size), mem.is_store);
-                    } else {
-                        // Scalar emulation: one access per lane (the same
-                        // lines, so extra L1 traffic but similar MLC
-                        // behaviour).
-                        for lane in 0..VLEN as u64 {
-                            self.access_lines(mem.addr + 8 * lane, 8, mem.is_store);
-                        }
-                    }
-                }
-            }
+            InstClass::VecAlu | InstClass::VecMem => self.vector_op(step.mem),
             InstClass::Load | InstClass::Store => {
                 if let Some(mem) = step.mem {
-                    self.count_mem_dir(mem.is_store);
-                    self.access_lines(mem.addr, u64::from(mem.size), mem.is_store);
+                    self.scalar_access(mem);
                 }
             }
             InstClass::Branch => {
                 if let Some(branch) = step.branch {
-                    self.stats.branches += 1;
-                    let mispredict =
-                        self.bpu
-                            .predict_and_update(step.pc.0, branch.taken, branch.next_pc.0);
-                    if mispredict {
-                        self.stats.mispredicts += 1;
-                        self.stall_cycles += self.mispredict_penalty;
-                    }
+                    self.branch_outcome(step.pc.0, branch.taken, branch.next_pc.0);
                 }
             }
             InstClass::IntMul => self.slots += 1,
@@ -306,30 +282,67 @@ impl CoreModel {
         }
     }
 
-    /// Feeds a batch of natively-executed translated instructions into the
-    /// timing model in one call.
-    ///
-    /// The BT layer's native backend compiles only instruction classes
-    /// whose [`CoreModel::on_step`] accounting reduces to `instructions +=
-    /// 1; slots += k` (integer/float ALU, multiplies, fused jumps, nops):
-    /// no cache, predictor, or VPU state is touched, so summing the issue
-    /// slots at compile time and applying them here is arithmetically
-    /// identical to `n` individual [`CoreModel::on_step`] calls in
-    /// [`ExecMode::Translated`].
-    pub fn on_translated_block(&mut self, instructions: u64, slots: u64) {
-        self.stats.instructions += instructions;
-        self.slots += slots;
+    /// The stateful half of a scalar load or store: counts its direction
+    /// and walks the cache lines its bytes touch (wrapping past the top
+    /// of the address space, as guest memory does). The instruction's
+    /// retirement and issue slot are charged separately.
+    pub fn scalar_access(&mut self, mem: MemAccess) {
+        self.count_mem_dir(mem.is_store);
+        self.access_lines(mem.addr, u64::from(mem.size), mem.is_store);
     }
 
-    fn charge_vector_op(&mut self) {
-        let slots = u64::from(self.vpu.issue_slots_for_vector_op(0));
-        // The base issue slot was already charged.
+    /// The stateful half of a conditional branch at `pc` that went to
+    /// `next_pc`: the predictor's prediction and update, and the
+    /// misprediction stall. Retirement and the issue slot are charged
+    /// separately.
+    pub fn branch_outcome(&mut self, pc: u32, taken: bool, next_pc: u32) {
+        self.stats.branches += 1;
+        if self.bpu.predict_and_update(pc, taken, next_pc) {
+            self.stats.mispredicts += 1;
+            self.stall_cycles += self.mispredict_penalty;
+        }
+    }
+
+    /// The stateful half of a vector op: the issue slots beyond its base
+    /// slot, which depend on the VPU's power state, and for a `vload` or
+    /// `vstore` (`mem` is `Some`) its cache accesses — the access's lines
+    /// on the VPU, or one 8-byte access per lane under scalar emulation
+    /// (the same lines, so extra L1 traffic but similar MLC behaviour).
+    pub fn vector_op(&mut self, mem: Option<MemAccess>) {
+        self.stats.vec_ops += 1;
+        let slots = u64::from(self.vpu.issue_slots_for_vector_op());
+        // The base issue slot is charged with the instruction.
         self.slots += slots.saturating_sub(1);
-        if self.vpu.active() {
+        let active = self.vpu.active();
+        if active {
             self.stats.simd_committed += 1;
         } else {
             self.stats.vec_emulated += 1;
         }
+        let Some(mem) = mem else { return };
+        self.count_mem_dir(mem.is_store);
+        if active {
+            self.access_lines(mem.addr, u64::from(mem.size), mem.is_store);
+        } else {
+            for lane in 0..VLEN as u64 {
+                self.access_lines(mem.addr.wrapping_add(8 * lane), 8, mem.is_store);
+            }
+        }
+    }
+
+    /// Feeds a batch of natively-executed translated instructions into the
+    /// timing model in one call: their retirement and base issue slots
+    /// (plus a multiply's second slot).
+    ///
+    /// [`CoreModel::on_step`] in [`ExecMode::Translated`] is `instructions
+    /// += 1; slots += k` followed by the class's stateful method, and no
+    /// stateful method reads `instructions` or `slots`. The BT layer's
+    /// native code calls the stateful methods itself, in trace order, so
+    /// summing `k` at compile time and applying the sums here is
+    /// arithmetically identical to `n` individual `on_step` calls.
+    pub fn on_translated_block(&mut self, instructions: u64, slots: u64) {
+        self.stats.instructions += instructions;
+        self.slots += slots;
     }
 
     fn count_mem_dir(&mut self, is_store: bool) {
@@ -340,13 +353,19 @@ impl CoreModel {
         }
     }
 
-    /// Accesses every cache line touched by `[addr, addr + size)`.
+    /// Accesses every cache line touched by `[addr, addr + size)`, in
+    /// address order, wrapping from the top of the address space to 0.
     fn access_lines(&mut self, addr: u64, size: u64, is_store: bool) {
         let shift = self.line_shift;
-        let first = addr >> shift;
-        let last = (addr + size.max(1) - 1) >> shift;
-        for line in first..=last {
+        let line_mask = u64::MAX >> shift;
+        let mut line = addr >> shift;
+        let last = addr.wrapping_add(size.max(1) - 1) >> shift;
+        loop {
             self.access_hierarchy(line << shift, is_store);
+            if line == last {
+                return;
+            }
+            line = line.wrapping_add(1) & line_mask;
         }
     }
 
@@ -466,7 +485,7 @@ impl powerchop_telemetry::MetricSource for CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powerchop_gisa::{BranchOutcome, Cond, Inst, MemAccess, Pc, Reg};
+    use powerchop_gisa::{BranchOutcome, Cond, Inst, Pc, Reg};
 
     fn cfg() -> CoreConfig {
         CoreConfig::server()
@@ -658,6 +677,59 @@ mod tests {
             one > full,
             "1-way MLC ({one}) should be slower than full ({full})"
         );
+    }
+
+    /// Cache lines an independent byte-by-byte walk of the `size` bytes
+    /// at `addr` crosses, wrapping past the top of the address space.
+    fn lines_touched(addr: u64, size: u64, line_bytes: u64) -> u64 {
+        (1..size)
+            .filter(|&k| addr.wrapping_add(k) / line_bytes != addr.wrapping_add(k - 1) / line_bytes)
+            .count() as u64
+            + 1
+    }
+
+    #[test]
+    fn accesses_wrap_past_the_top_of_the_address_space() {
+        let vlen = VLEN as u64;
+        for cfg in [CoreConfig::server(), CoreConfig::mobile()] {
+            let line = u64::from(cfg.l1d.line_bytes);
+            for vpu_active in [true, false] {
+                for addr in [(-4i64) as u64, (-8i64) as u64] {
+                    let mut core = CoreModel::new(&cfg);
+                    core.set_vpu_active(vpu_active);
+                    core.scalar_access(MemAccess {
+                        addr,
+                        size: 8,
+                        is_store: false,
+                    });
+                    assert_eq!(core.l1d.stats().accesses, lines_touched(addr, 8, line));
+
+                    for is_store in [false, true] {
+                        let mut core = CoreModel::new(&cfg);
+                        core.set_vpu_active(vpu_active);
+                        core.vector_op(Some(MemAccess {
+                            addr,
+                            size: 8 * VLEN as u32,
+                            is_store,
+                        }));
+                        let expected = if vpu_active {
+                            lines_touched(addr, 8 * vlen, line)
+                        } else {
+                            (0..vlen)
+                                .map(|lane| lines_touched(addr.wrapping_add(8 * lane), 8, line))
+                                .sum()
+                        };
+                        assert_eq!(
+                            core.l1d.stats().accesses,
+                            expected,
+                            "vector access at {addr:#x}, {line} B lines, VPU on: {vpu_active}"
+                        );
+                        assert_eq!(core.stats().stores, u64::from(is_store));
+                        assert_eq!(core.stats().loads, u64::from(!is_store));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

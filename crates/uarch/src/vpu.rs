@@ -28,12 +28,13 @@ pub struct VpuStats {
 ///
 /// let mut vpu = Vpu::new(4);
 /// assert!(vpu.active());
-/// assert_eq!(vpu.issue_slots_for_vector_op(2), 1); // 4 lanes in one pass
+/// assert_eq!(vpu.issue_slots_for_vector_op(), 1); // 4 lanes in one pass
 /// vpu.set_active(false);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Vpu {
-    lanes: u32,
+    /// Passes through the SIMD pipes per vector op: `ceil(VLEN / lanes)`.
+    passes: u32,
     active: bool,
     emulation_overhead_slots: u32,
     stats: VpuStats,
@@ -49,7 +50,7 @@ impl Vpu {
     pub fn new(lanes: u32) -> Self {
         assert!(lanes > 0, "a VPU needs at least one lane");
         Vpu {
-            lanes,
+            passes: (VLEN as u32).div_ceil(lanes),
             active: true,
             emulation_overhead_slots: 2,
             stats: VpuStats::default(),
@@ -86,10 +87,10 @@ impl Vpu {
     ///   emulation overhead (the BT's alternate scalar code path).
     ///
     /// Also updates the native/emulated operation counters.
-    pub fn issue_slots_for_vector_op(&mut self, _width_hint: u32) -> u32 {
+    pub fn issue_slots_for_vector_op(&mut self) -> u32 {
         if self.active {
             self.stats.native_ops += 1;
-            (VLEN as u32).div_ceil(self.lanes)
+            self.passes
         } else {
             self.stats.emulated_ops += 1;
             VLEN as u32 + self.emulation_overhead_slots
@@ -141,21 +142,21 @@ mod tests {
     #[test]
     fn wide_vpu_executes_in_one_pass() {
         let mut v = Vpu::new(4);
-        assert_eq!(v.issue_slots_for_vector_op(0), 1);
+        assert_eq!(v.issue_slots_for_vector_op(), 1);
         assert_eq!(v.stats().native_ops, 1);
     }
 
     #[test]
     fn narrow_vpu_takes_multiple_passes() {
         let mut v = Vpu::new(2);
-        assert_eq!(v.issue_slots_for_vector_op(0), 2);
+        assert_eq!(v.issue_slots_for_vector_op(), 2);
     }
 
     #[test]
     fn gated_vpu_emulates_with_scalars() {
         let mut v = Vpu::with_emulation_overhead(4, 2);
         v.set_active(false);
-        assert_eq!(v.issue_slots_for_vector_op(0), VLEN as u32 + 2);
+        assert_eq!(v.issue_slots_for_vector_op(), VLEN as u32 + 2);
         assert_eq!(v.stats().emulated_ops, 1);
         assert_eq!(v.stats().native_ops, 0);
     }
