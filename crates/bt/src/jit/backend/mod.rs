@@ -72,6 +72,7 @@ impl NativeEngine {
         }
     }
 
+    #[inline]
     pub(super) fn try_run(
         &mut self,
         id: TranslationId,

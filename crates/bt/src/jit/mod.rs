@@ -256,6 +256,13 @@ impl JitEngine {
     /// Dispatch hook: runs `t` natively if possible, compiling on demand
     /// (covers checkpoint restore and cloned machines). Returns `None`
     /// when the caller must fall back to the interpreter loop.
+    ///
+    /// This, `NativeEngine::try_run` and `run_compiled` are `#[inline]`
+    /// so the small result enums they pass up stay in registers: across
+    /// an out-of-line call each comes back through memory, and the
+    /// caller's wide reload of it stalls on the narrower stores that
+    /// just wrote it (a failed store-to-load forward).
+    #[inline]
     pub(crate) fn execute(
         &mut self,
         t: &Translation,

@@ -16,9 +16,7 @@
 //! - [`Program`] and [`ProgramBuilder`] — an assembler-style builder with
 //!   labels, used by `powerchop-workloads` to write benchmarks,
 //! - [`Cpu`] — architectural state plus single-step semantics ([`Cpu::step`]),
-//! - [`Memory`] — a sparse, paged 64-bit memory,
-//! - [`MulShiftHasher`] — the workspace's one fast hasher for maps keyed
-//!   by small integers (guest page numbers, translation IDs).
+//! - [`Memory`] — a sparse, paged 64-bit memory.
 //!
 //! # Examples
 //!
@@ -60,6 +58,6 @@ mod reg;
 pub use cpu::{BranchOutcome, Cpu, MemAccess, StepInfo};
 pub use error::GisaError;
 pub use inst::{Cond, Inst, InstClass, VLEN};
-pub use mem::{Memory, MulShiftBuildHasher, MulShiftHasher};
+pub use mem::Memory;
 pub use program::{Label, Pc, Program, ProgramBuilder};
 pub use reg::{FReg, Reg, VReg};

@@ -10,16 +10,38 @@
 //!
 //! The paper's configuration — 128 entries of 32-bit translation ID plus
 //! 32-bit execution counter = 1 KiB — is the default.
-
-use std::collections::HashMap;
+//!
+//! The model keeps the buffer's entries in a dense list, in the order
+//! they were allocated, and finds an ID's entry through a slot table
+//! indexed by the ID itself. A translation ID is its head PC, an index
+//! into the program, so the table is as small as the program. This is
+//! the O(1) update the paper places off the critical path: a recorded
+//! execution costs one indexed load and one compare, not a hash. An
+//! entry is live only while its slot points below the list's length at
+//! an entry carrying the same ID, so a flush just empties the list.
+//! Every reader sorts, so allocation order never reaches a signature, a
+//! count vector or a snapshot.
 
 use powerchop_bt::TranslationId;
-use powerchop_gisa::MulShiftBuildHasher;
 
 use crate::phase::PhaseSignature;
 
 /// Paper-default HTB capacity.
 pub const HTB_ENTRIES: usize = 128;
+
+/// IDs at or above this bound have no slot-table entry and are found by
+/// scanning the (at most `capacity`-entry) list. Head PCs of the
+/// simulated programs sit far below it; the bound only keeps an
+/// arbitrary ID from growing the table.
+const SLOT_TABLE_LIMIT: u32 = 1 << 16;
+
+/// One buffer entry: a translation and its counts this window.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: TranslationId,
+    executions: u64,
+    instructions: u64,
+}
 
 /// The Hot Translation Buffer.
 ///
@@ -38,11 +60,13 @@ pub const HTB_ENTRIES: usize = 128;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HotTranslationBuffer {
-    /// Per-translation (executions, dynamic instructions) this window.
-    /// `record` probes it on every translation dispatch, so it uses the
-    /// multiply-shift hasher, not SipHash; every reader sorts, so map
-    /// order never reaches a signature or a snapshot.
-    counts: HashMap<TranslationId, (u64, u64), MulShiftBuildHasher>,
+    /// This window's entries, in allocation order (at most `capacity`).
+    entries: Vec<Entry>,
+    /// `slots[id]` is the index in `entries` of `id`'s entry, if it has
+    /// one; a stale index (past the end, or at another ID's entry) means
+    /// none. Grows on demand to the highest ID recorded below
+    /// [`SLOT_TABLE_LIMIT`].
+    slots: Vec<u32>,
     capacity: usize,
     signature_len: usize,
     overflowed: u64,
@@ -59,7 +83,8 @@ impl HotTranslationBuffer {
         let capacity = capacity.max(1);
         let signature_len = signature_len.max(1);
         HotTranslationBuffer {
-            counts: HashMap::with_capacity_and_hasher(capacity, MulShiftBuildHasher::default()),
+            entries: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             capacity,
             signature_len,
             overflowed: 0,
@@ -72,15 +97,47 @@ impl HotTranslationBuffer {
         HotTranslationBuffer::new(HTB_ENTRIES, crate::phase::SIGNATURE_LEN)
     }
 
+    /// The index of `id`'s entry this window, if it has one.
+    #[inline]
+    fn find(&self, id: TranslationId) -> Option<usize> {
+        if id.0 < SLOT_TABLE_LIMIT {
+            let index = *self.slots.get(id.0 as usize)? as usize;
+            return self
+                .entries
+                .get(index)
+                .is_some_and(|e| e.id == id)
+                .then_some(index);
+        }
+        self.entries.iter().position(|e| e.id == id)
+    }
+
+    /// Allocates an entry for `id`, which has none; the caller checked
+    /// the capacity.
+    fn allocate(&mut self, id: TranslationId, executions: u64, instructions: u64) {
+        if id.0 < SLOT_TABLE_LIMIT {
+            let slot = id.0 as usize;
+            if slot >= self.slots.len() {
+                self.slots.resize(slot + 1, 0);
+            }
+            self.slots[slot] = self.entries.len() as u32;
+        }
+        self.entries.push(Entry {
+            id,
+            executions,
+            instructions,
+        });
+    }
+
     /// Records one execution of `id` contributing `instructions` dynamic
     /// instructions. Updates happen off the critical path in hardware; in
     /// the model they are O(1).
     pub fn record(&mut self, id: TranslationId, instructions: u64) {
-        if let Some((execs, insts)) = self.counts.get_mut(&id) {
-            *execs += 1;
-            *insts += instructions;
-        } else if self.counts.len() < self.capacity {
-            self.counts.insert(id, (1, instructions));
+        if let Some(index) = self.find(id) {
+            let entry = &mut self.entries[index];
+            entry.executions += 1;
+            entry.instructions += instructions;
+        } else if self.entries.len() < self.capacity {
+            self.allocate(id, 1, instructions);
         } else {
             self.overflowed += 1;
         }
@@ -89,13 +146,13 @@ impl HotTranslationBuffer {
     /// Unique translations tracked this window.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// Whether no translations have been recorded this window.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// Translation executions dropped because the buffer was full
@@ -111,9 +168,9 @@ impl HotTranslationBuffer {
     #[must_use]
     pub fn signature(&self) -> PhaseSignature {
         let mut entries: Vec<(TranslationId, u64)> = self
-            .counts
+            .entries
             .iter()
-            .map(|(id, (_, insts))| (*id, *insts))
+            .map(|e| (e.id, e.instructions))
             .collect();
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         entries.truncate(self.signature_len);
@@ -127,18 +184,14 @@ impl HotTranslationBuffer {
     /// window size, minus any HTB overflow).
     #[must_use]
     pub fn count_vector(&self) -> Vec<(TranslationId, u64)> {
-        let mut v: Vec<_> = self
-            .counts
-            .iter()
-            .map(|(id, (execs, _))| (*id, *execs))
-            .collect();
+        let mut v: Vec<_> = self.entries.iter().map(|e| (e.id, e.executions)).collect();
         v.sort_unstable_by_key(|(id, _)| *id);
         v
     }
 
     /// Clears the buffer for the next execution window.
     pub fn flush(&mut self) {
-        self.counts.clear();
+        self.entries.clear();
     }
 
     /// Storage in bytes (ID + counter per entry), for the hardware-cost
@@ -152,14 +205,13 @@ impl HotTranslationBuffer {
     /// for a deterministic encoding) and the cumulative overflow counter.
     /// Capacity and signature length are config-derived and not written.
     pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
-        let mut entries: Vec<(TranslationId, (u64, u64))> =
-            self.counts.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_unstable_by_key(|(id, _)| *id);
+        let mut entries = self.entries.clone();
+        entries.sort_unstable_by_key(|e| e.id);
         w.put_usize(entries.len());
-        for (id, (execs, insts)) in entries {
-            w.put_u32(id.0);
-            w.put_u64(execs);
-            w.put_u64(insts);
+        for e in entries {
+            w.put_u32(e.id.0);
+            w.put_u64(e.executions);
+            w.put_u64(e.instructions);
         }
         w.put_u64(self.overflowed);
     }
@@ -170,8 +222,8 @@ impl HotTranslationBuffer {
     /// # Errors
     ///
     /// Returns a [`powerchop_checkpoint::CheckpointError`] when the
-    /// payload is truncated or holds more entries than this buffer's
-    /// configured capacity.
+    /// payload is truncated, holds more entries than this buffer's
+    /// configured capacity, or names one translation twice.
     pub fn restore_from(
         &mut self,
         r: &mut powerchop_checkpoint::ByteReader<'_>,
@@ -182,12 +234,17 @@ impl HotTranslationBuffer {
                 what: "HTB entry count exceeds capacity",
             });
         }
-        self.counts.clear();
+        self.entries.clear();
         for _ in 0..count {
             let id = TranslationId(r.take_u32()?);
-            let execs = r.take_u64()?;
-            let insts = r.take_u64()?;
-            self.counts.insert(id, (execs, insts));
+            let executions = r.take_u64()?;
+            let instructions = r.take_u64()?;
+            if self.find(id).is_some() {
+                return Err(powerchop_checkpoint::CheckpointError::Malformed {
+                    what: "HTB names a translation twice",
+                });
+            }
+            self.allocate(id, executions, instructions);
         }
         self.overflowed = r.take_u64()?;
         Ok(())
@@ -263,6 +320,24 @@ mod tests {
         htb.record(t(2), 5);
         htb.record(t(9), 1);
         assert_eq!(htb.count_vector(), vec![(t(2), 1), (t(9), 2)]);
+    }
+
+    #[test]
+    fn restore_rejects_a_translation_named_twice() {
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        w.put_usize(2);
+        for _ in 0..2 {
+            w.put_u32(7);
+            w.put_u64(1);
+            w.put_u64(10);
+        }
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let mut htb = HotTranslationBuffer::paper_default();
+        assert!(matches!(
+            htb.restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes)),
+            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+        ));
     }
 
     #[test]
