@@ -7,80 +7,39 @@
 //! chunk is safe because compilation happens between machine steps on one
 //! thread — no native code is executing while code is installed.
 //!
-//! The workspace is dependency-free, so the three syscalls needed
-//! (`mmap`, `mprotect`, `munmap`) are issued directly via inline asm.
+//! The workspace is dependency-free, so the three calls needed (`mmap`,
+//! `mprotect`, `munmap`) are `extern "C"` declarations of the libc
+//! functions std already links.
 #![allow(unsafe_code)]
 
+use std::ffi::{c_int, c_void};
 use std::sync::Arc;
 
-const SYS_MMAP: usize = 9;
-const SYS_MPROTECT: usize = 10;
-const SYS_MUNMAP: usize = 11;
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
 
-const PROT_READ: usize = 0x1;
-const PROT_WRITE: usize = 0x2;
-const PROT_EXEC: usize = 0x4;
-const MAP_PRIVATE: usize = 0x02;
-const MAP_ANONYMOUS: usize = 0x20;
+const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
+const PROT_EXEC: c_int = 0x4;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+/// `mmap`'s failure value, `(void *) -1`.
+const MAP_FAILED: *mut c_void = std::ptr::without_provenance_mut(usize::MAX);
 
 const PAGE: usize = 4096;
 /// Default chunk size; most traces are well under 2 KiB of code, so one
 /// chunk holds hundreds of translations.
 const CHUNK: usize = 256 * 1024;
-
-/// `mmap(NULL, len, prot, MAP_PRIVATE|MAP_ANONYMOUS, -1, 0)`.
-unsafe fn sys_mmap(len: usize, prot: usize) -> isize {
-    let ret: isize;
-    unsafe {
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_MMAP as isize => ret,
-            in("rdi") 0usize,
-            in("rsi") len,
-            in("rdx") prot,
-            in("r10") MAP_PRIVATE | MAP_ANONYMOUS,
-            in("r8") -1isize,
-            in("r9") 0usize,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    ret
-}
-
-unsafe fn sys_mprotect(addr: *mut u8, len: usize, prot: usize) -> isize {
-    let ret: isize;
-    unsafe {
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_MPROTECT as isize => ret,
-            in("rdi") addr,
-            in("rsi") len,
-            in("rdx") prot,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    ret
-}
-
-unsafe fn sys_munmap(addr: *mut u8, len: usize) {
-    let ret: isize;
-    unsafe {
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_MUNMAP as isize => ret,
-            in("rdi") addr,
-            in("rsi") len,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    debug_assert_eq!(ret, 0, "munmap of an arena chunk failed");
-}
 
 /// One mmap'd region of executable code. Owned jointly by the arena (for
 /// appending) and every compiled trace inside it (for lifetime): the
@@ -96,9 +55,20 @@ pub(crate) struct Chunk {
 unsafe impl Send for Chunk {}
 unsafe impl Sync for Chunk {}
 
+impl Chunk {
+    /// Sets the whole chunk's protection; `false` if the kernel refused.
+    fn protect(&self, prot: c_int) -> bool {
+        // SAFETY: `base..base + cap` is this chunk's own live mapping.
+        unsafe { mprotect(self.base.cast(), self.cap, prot) == 0 }
+    }
+}
+
 impl Drop for Chunk {
     fn drop(&mut self) {
-        unsafe { sys_munmap(self.base, self.cap) };
+        // SAFETY: the last owner unmaps the mapping it was created with;
+        // no trace in it can run after that owner is gone.
+        let rc = unsafe { munmap(self.base.cast(), self.cap) };
+        debug_assert_eq!(rc, 0, "munmap of an arena chunk failed");
     }
 }
 
@@ -136,32 +106,36 @@ impl Arena {
         };
         if need_new {
             let cap = CHUNK.max((len + PAGE - 1) & !(PAGE - 1));
-            let base = unsafe { sys_mmap(cap, PROT_READ | PROT_WRITE) };
-            // mmap reports failure as a small negative errno.
-            if !(1..isize::MAX as usize).contains(&(base as usize))
-                || !(base as usize).is_multiple_of(PAGE)
-            {
+            // SAFETY: an anonymous private mapping at an address the
+            // kernel picks touches no existing memory.
+            let base = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    cap,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            if base == MAP_FAILED || base.is_null() {
                 return None;
             }
             self.current = Some(Arc::new(Chunk {
-                base: base as *mut u8,
+                base: base.cast(),
                 cap,
             }));
             self.used = 0;
         }
         let chunk = Arc::clone(self.current.as_ref()?);
         // W^X: writable (not executable) for the copy…
-        if self.used > 0 {
-            let rc = unsafe { sys_mprotect(chunk.base, chunk.cap, PROT_READ | PROT_WRITE) };
-            if rc != 0 {
-                return None;
-            }
+        if self.used > 0 && !chunk.protect(PROT_READ | PROT_WRITE) {
+            return None;
         }
         let entry_ptr = unsafe { chunk.base.add(self.used) };
         unsafe { std::ptr::copy_nonoverlapping(code.as_ptr(), entry_ptr, code.len()) };
         // …then executable (not writable) for good.
-        let rc = unsafe { sys_mprotect(chunk.base, chunk.cap, PROT_READ | PROT_EXEC) };
-        if rc != 0 {
+        if !chunk.protect(PROT_READ | PROT_EXEC) {
             return None;
         }
         self.used += len;

@@ -18,7 +18,7 @@
 //! bit-identical: same retired counts, same uarch/power accounting, same
 //! artifacts.
 //!
-//! The backend is gated on `x86_64`/Linux (raw `mmap` is used for the W^X
+//! The backend is gated on `x86_64`/Linux (libc's `mmap` backs the W^X
 //! code arena); on any other target — or when built with
 //! `--cfg powerchop_force_interp` — [`JitEngine`] compiles to a no-op and
 //! the interpreter remains the universal fallback.

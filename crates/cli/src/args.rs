@@ -68,7 +68,6 @@ impl RunOpts {
             seed: self.seed,
             storm: self.storm,
             deadline_ms: u64::MAX,
-            chaos_panic: false,
         }
     }
 }
@@ -204,8 +203,8 @@ pub enum Command {
     },
     /// `top` — live terminal dashboard over a running daemon: polls
     /// `/metrics` and the `health` op and renders qps, in-flight,
-    /// latency quantiles, breaker/respawn/recovery state and a
-    /// sparkline history.
+    /// latency quantiles, worker/recovery state and a sparkline
+    /// history.
     Top {
         /// Dashboard tuning.
         opts: TopOpts,
@@ -275,8 +274,6 @@ pub struct SoakOpts {
     pub honest: usize,
     /// Requests each client sends.
     pub requests: usize,
-    /// Injected worker kills (chaos `run` ops that panic mid-run).
-    pub kill_workers: usize,
     /// Instruction budget per soak run (kept small: the storm exercises
     /// the transport, not the simulator).
     pub budget: u64,
@@ -299,7 +296,6 @@ impl Default for SoakOpts {
             hostile: 4,
             honest: 2,
             requests: 8,
-            kill_workers: 1,
             budget: 200_000,
             scale: 0.05,
             jobs: Some(2),
@@ -368,7 +364,7 @@ COMMANDS:
                            storm of hostile + honest clients, verify honest
                            replies stayed bit-identical and the drain was clean
     top                    live terminal dashboard over a running daemon: qps,
-                           in-flight, latency quantiles, breaker/recovery state
+                           in-flight, latency quantiles, worker/recovery state
                            and a sparkline history from /metrics + health
     help                   show this message
 
@@ -418,8 +414,6 @@ OPTIONS (serve):
     --max-outbox-bytes <N> unflushed reply bytes one connection may queue before
                            the slow consumer is shed with a typed 408
                            [default: 1048576]
-    --chaos-ops            allow fault-injection ops (worker-kill runs); for
-                           test harnesses only
     --journal-dir <path>   fsync'd write-ahead intent journal + checkpoint
                            spills: accepted requests survive kill -9 and are
                            resumed on the next boot (omit to disable)
@@ -451,7 +445,6 @@ OPTIONS (soak):
     --hostile <N>          hostile (chaos-wrapped) clients      [default: 4]
     --honest <N>           honest clients                       [default: 2]
     --requests <N>         requests per client                  [default: 8]
-    --kill-workers <N>     injected mid-run worker kills        [default: 1]
     --budget <N>           instruction budget per soak run      [default: 200000]
     --scale <F>            workload scale factor                [default: 0.05]
     --jobs <N>             daemon worker threads                [default: 2]
@@ -768,7 +761,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     "--max-outbox-bytes" => {
                         server.max_outbox_bytes = parse_positive(flag, &value()?)?;
                     }
-                    "--chaos-ops" => server.chaos_ops = true,
                     "--journal-dir" => server.journal_dir = Some(value()?),
                     "--cache-dir" => server.cache_dir = Some(value()?),
                     "--spill-every" => server.spill_every = parse_positive(flag, &value()?)?,
@@ -817,7 +809,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     "--hostile" => opts.hostile = parse_int(flag, &value()?)?,
                     "--honest" => opts.honest = parse_int(flag, &value()?)?,
                     "--requests" => opts.requests = parse_positive(flag, &value()?)?,
-                    "--kill-workers" => opts.kill_workers = parse_int(flag, &value()?)?,
                     "--budget" => opts.budget = parse_positive(flag, &value()?)?,
                     "--scale" => opts.scale = parse_scale(flag, &value()?)?,
                     "--jobs" => opts.jobs = Some(parse_positive(flag, &value()?)?),
@@ -1094,7 +1085,7 @@ mod tests {
             "serve --addr 127.0.0.1:0 --jobs 2 --queue-depth 3 --cache-entries 5 \
              --deadline-ms 9000 --max-request-bytes 4096 --max-budget 500000 \
              --max-connections 7 --read-timeout-ms 1500 --write-timeout-ms 900 \
-             --max-outbox-bytes 65536 --chaos-ops",
+             --max-outbox-bytes 65536",
         ))
         .unwrap()
         {
@@ -1110,14 +1101,9 @@ mod tests {
                 assert_eq!(opts.server.read_timeout_ms, 1500);
                 assert_eq!(opts.server.write_timeout_ms, 900);
                 assert_eq!(opts.server.max_outbox_bytes, 65_536);
-                assert!(opts.server.chaos_ops);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(
-            !ServeOpts::default().server.chaos_ops,
-            "chaos ops are opt-in"
-        );
         assert_eq!(ServeOpts::default().server.max_outbox_bytes, 1 << 20);
         assert!(parse(&argv("serve --queue-depth 0")).is_err());
         assert!(parse(&argv("serve --max-connections 0")).is_err());
@@ -1216,7 +1202,7 @@ mod tests {
             }
         );
         match parse(&argv(
-            "soak --seed 9 --hostile 6 --honest 3 --requests 4 --kill-workers 2 \
+            "soak --seed 9 --hostile 6 --honest 3 --requests 4 \
              --budget 100000 --scale 0.1 --jobs 1",
         ))
         .unwrap()
@@ -1226,7 +1212,6 @@ mod tests {
                 assert_eq!(opts.hostile, 6);
                 assert_eq!(opts.honest, 3);
                 assert_eq!(opts.requests, 4);
-                assert_eq!(opts.kill_workers, 2);
                 assert_eq!(opts.budget, 100_000);
                 assert!((opts.scale - 0.1).abs() < 1e-12);
                 assert_eq!(opts.jobs, Some(1));

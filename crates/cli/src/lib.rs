@@ -7,9 +7,12 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod chaos;
 mod client;
 pub mod commands;
 pub mod respawn;
+pub mod restart;
+pub mod retry;
 pub mod soak;
 pub mod supervise;
 pub mod top;

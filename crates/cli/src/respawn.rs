@@ -3,7 +3,7 @@
 //! A crash-consistent daemon is only half a durability story: someone
 //! has to restart it. This module is that someone — a parent process
 //! that respawns the daemon after crashes at a bounded rate, using
-//! [`powerchop_resilience::RestartTracker`]'s sliding-window policy,
+//! [`RestartTracker`]'s sliding-window policy,
 //! and gives up (latched, loudly) on a crash storm instead of melting
 //! the host with a respawn loop. Paired with `--journal-dir`, every
 //! respawn replays the journal and resumes interrupted work, so the
@@ -18,9 +18,9 @@
 
 use std::time::Instant;
 
-use powerchop_resilience::{RestartPolicy, RestartTracker, RestartVerdict, RetryPolicy};
-
 use crate::args::ServeOpts;
+use crate::restart::{RestartPolicy, RestartTracker, RestartVerdict};
+use crate::retry::{stream_label, RetryPolicy};
 use crate::CliError;
 
 /// How one supervised child generation ended.
@@ -137,9 +137,6 @@ pub fn child_argv(opts: &ServeOpts) -> Vec<String> {
         argv.push("--cache-dir".to_owned());
         argv.push(dir.clone());
     }
-    if server.chaos_ops {
-        argv.push("--chaos-ops".to_owned());
-    }
     if let Some(path) = &server.access_log {
         argv.push("--access-log".to_owned());
         argv.push(path.clone());
@@ -172,7 +169,7 @@ pub fn serve_supervised(opts: &ServeOpts) -> Result<(), CliError> {
     // cause (port teardown, filesystem pressure) clear, deterministic
     // for a given address.
     let retry = RetryPolicy::new(50, 2_000);
-    let stream = powerchop_resilience::retry::stream_label(&opts.server.addr);
+    let stream = stream_label(&opts.server.addr);
     let epoch = Instant::now();
     let verdict = supervise_loop(
         policy,
@@ -303,7 +300,6 @@ mod tests {
                 journal_dir: Some("wal".into()),
                 cache_dir: Some("cache".into()),
                 spill_every: 50_000,
-                chaos_ops: true,
                 ..powerchop_serve::ServerConfig::default()
             },
             supervised: true,
@@ -328,7 +324,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("{flag} missing from {argv:?}"));
             assert_eq!(argv[i + 1], value);
         }
-        assert!(argv.iter().any(|a| a == "--chaos-ops"));
         // The child argv must re-parse to an equivalent unsupervised config.
         match crate::args::parse(&argv).expect("child argv parses") {
             crate::args::Command::Serve { opts: reparsed } => {

@@ -1,13 +1,12 @@
-//! Bounded restart-rate accounting for worker supervision.
+//! Bounded restart-rate accounting for the `serve --supervised` parent.
 //!
-//! Respawning a crashed worker is cheap and almost always right — until
+//! Respawning a crashed daemon is cheap and almost always right — until
 //! the crash is deterministic, at which point respawning converts one
 //! failure into a hot loop that burns a core and floods the log. The
 //! [`RestartTracker`] draws that line: restarts inside a sliding window
 //! are counted, and once the count exceeds the policy's cap the tracker
-//! latches a *storm* verdict. Supervisors keep respawning (so work that
-//! is already queued still resolves) but admission control starts
-//! shedding new work with a typed 503 instead of feeding the loop.
+//! latches a *storm* verdict, on which the parent stops respawning and
+//! exits with an error (see [`crate::respawn`]).
 
 /// Restart-rate policy: at most `max_restarts` restarts per sliding
 /// `window_ms` window before the tracker declares a storm.
@@ -43,14 +42,12 @@ impl Default for RestartPolicy {
 pub enum RestartVerdict {
     /// Under the rate cap: respawn and carry on.
     Respawn,
-    /// Over the rate cap (or already latched): respawn so queued work
-    /// resolves, but shed new admissions.
+    /// Over the rate cap (or already latched): stop respawning.
     Storm,
 }
 
-/// Sliding-window restart accounting. Like the breaker, it takes time
-/// as an explicit `now_ms` argument so tests drive it with a logical
-/// clock.
+/// Sliding-window restart accounting. It takes time as an explicit
+/// `now_ms` argument so tests drive it with a logical clock.
 #[derive(Debug, Clone)]
 pub struct RestartTracker {
     policy: RestartPolicy,
@@ -74,8 +71,8 @@ impl RestartTracker {
     /// Records a restart at `now_ms` and returns the verdict.
     ///
     /// The storm verdict latches: once a tracker has given up it stays
-    /// given up, because a supervisor that un-sheds the moment the
-    /// window slides past would oscillate between serving and storming.
+    /// given up, because a supervisor that resumed the moment the
+    /// window slid past would oscillate between crash loops and pauses.
     pub fn record(&mut self, now_ms: u64) -> RestartVerdict {
         self.total += 1;
         let window = self.policy.window_ms;
@@ -92,7 +89,7 @@ impl RestartTracker {
         }
     }
 
-    /// Lifetime restart count (including storm-mode respawns).
+    /// Lifetime restart count, the one that latched the storm included.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total

@@ -1,21 +1,16 @@
 //! The chaos-soak harness: boots an in-process `powerchop-serve` daemon
 //! and drives a seeded storm of hostile and honest clients against it.
 //!
-//! Hostile clients wrap their sockets in
-//! [`powerchop_resilience::chaos::ChaosStream`], so every frame they
-//! send may be delayed, split mid-write, byte-corrupted, truncated or
-//! reset — all drawn from one SplitMix64 seed, so a storm replays
+//! Hostile clients wrap their sockets in [`ChaosStream`], so every frame
+//! they send may be delayed, split mid-write, byte-corrupted, truncated
+//! or reset — all drawn from one SplitMix64 seed, so a storm replays
 //! bit-for-bit. Honest clients send well-formed `run` requests and
-//! demand replies bit-identical to a local in-process run. A kill
-//! client (when `--kill-workers` is nonzero) sends chaos `run` ops that
-//! panic a pool worker mid-run, exercising the supervisor's respawn
-//! path on demand.
+//! demand replies bit-identical to a local in-process run.
 //!
 //! The storm passes only when every reply line received by any client
 //! is valid RFC 8259 JSON, every honest reply embedded the exact
-//! expected report bytes, every requested worker kill was confirmed
-//! (and visible as a respawn in the `health` op), the pool never gave
-//! up, and the daemon drained cleanly through an in-protocol shutdown.
+//! expected report bytes, and the daemon drained cleanly through an
+//! in-protocol shutdown.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,15 +20,15 @@ use std::time::{Duration, Instant};
 
 use powerchop::{run_program, ManagerKind, RunConfig};
 use powerchop_faults::SimRng;
-use powerchop_resilience::chaos::{ChaosConfig, ChaosSchedule, ChaosStream};
-use powerchop_resilience::retry::stream_label;
 use powerchop_serve::json::Json;
 use powerchop_serve::{report_to_json, Server, ServerConfig};
 use powerchop_telemetry::validate_json;
 use powerchop_workloads::Scale;
 
 use crate::args::SoakOpts;
+use crate::chaos::{ChaosConfig, ChaosSchedule, ChaosStream};
 use crate::client::{request, scrape};
+use crate::retry::stream_label;
 use crate::CliError;
 
 /// Benchmarks the storm cycles through. Kept small so the local
@@ -59,16 +54,6 @@ pub struct SoakReport {
     pub honest_mismatches: u64,
     /// Hostile connections dropped by chaos (truncate/reset) or I/O.
     pub hostile_drops: u64,
-    /// Worker kills the storm was asked to inject.
-    pub kills_requested: u64,
-    /// Worker kills confirmed by a typed 500 reply.
-    pub kills_confirmed: u64,
-    /// Worker respawns the daemon's `health` op reported afterwards.
-    pub worker_respawns: u64,
-    /// Circuit-breaker trips the `health` op reported afterwards.
-    pub breaker_trips: u64,
-    /// Whether the pool latched its restart-storm give-up (must not).
-    pub pool_gave_up: bool,
     /// Whether the in-protocol shutdown drained within the time limit.
     pub clean_drain: bool,
     /// First few diagnostics behind any failed invariant.
@@ -79,12 +64,7 @@ impl SoakReport {
     /// Whether every soak invariant held.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.malformed == 0
-            && self.honest_mismatches == 0
-            && self.kills_confirmed == self.kills_requested
-            && self.worker_respawns >= self.kills_confirmed
-            && !self.pool_gave_up
-            && self.clean_drain
+        self.malformed == 0 && self.honest_mismatches == 0 && self.clean_drain
     }
 }
 
@@ -96,7 +76,6 @@ struct Counters {
     honest_ok: AtomicU64,
     honest_mismatches: AtomicU64,
     hostile_drops: AtomicU64,
-    kills_confirmed: AtomicU64,
     notes: Mutex<Vec<String>>,
 }
 
@@ -157,7 +136,7 @@ fn expected_replies(opts: &SoakOpts) -> Result<Vec<Expected>, CliError> {
 }
 
 /// Whether a typed error reply is transient backpressure worth retrying
-/// (queue full, draining-adjacent 503s like breaker-open).
+/// (a full queue, or a 503 from the connection gate).
 fn is_retryable(reply: &str) -> bool {
     reply.contains("\"code\":429") || reply.contains("\"code\":503")
 }
@@ -209,50 +188,6 @@ fn honest_client(
 ) {
     for j in 0..requests {
         honest_once(addr, &expected[(id + j) % expected.len()], c);
-    }
-}
-
-/// The kill client: chaos `run` ops that panic a worker mid-run. Each
-/// uses a distinct budget so the result cache can never answer instead
-/// of the pool. Expects the typed 500 the supervisor turns the panic
-/// into; service for everyone else must continue (the honest clients
-/// are asserting exactly that, concurrently).
-fn kill_client(addr: SocketAddr, opts: &SoakOpts, c: &Counters) {
-    for k in 0..opts.kill_workers {
-        let budget = opts.budget + 7919 + k as u64;
-        let line = format!(
-            r#"{{"op":"run","bench":"hmmer","budget":{budget},"scale":{},"chaos":"panic"}}"#,
-            opts.scale
-        );
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match request(addr, &line, REQUEST_TIMEOUT) {
-                Ok(reply) => {
-                    c.saw_reply(&reply);
-                    if reply.contains("\"code\":500") && reply.contains("killed") {
-                        c.kills_confirmed.fetch_add(1, Ordering::SeqCst);
-                        break;
-                    }
-                    if is_retryable(&reply) && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(25));
-                        continue;
-                    }
-                    c.note(format!("worker-kill {k}: unexpected reply: {reply}"));
-                    break;
-                }
-                Err(e) => {
-                    if Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(25));
-                        continue;
-                    }
-                    c.note(format!("worker-kill {k}: i/o error: {e}"));
-                    break;
-                }
-            }
-        }
-        // Space the kills out so they read as crashes under load, not a
-        // restart storm (storms are the give-up path, tested separately).
-        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -390,34 +325,6 @@ fn hostile_client(
     }
 }
 
-/// Reads the daemon's post-storm `health` report, waiting briefly for
-/// any in-flight worker respawn to land. Returns
-/// `(worker_respawns, breaker_trips, pool_gave_up)`.
-fn final_health(addr: SocketAddr, expect_respawns: u64, c: &Counters) -> (u64, u64, bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut respawns = 0;
-    let mut trips = 0;
-    let mut gave_up = false;
-    loop {
-        if let Ok(reply) = request(addr, r#"{"op":"health"}"#, REQUEST_TIMEOUT) {
-            c.saw_reply(&reply);
-            let health = Json::parse(&reply).unwrap_or(Json::Null);
-            let field = |name| health.get(name).and_then(Json::as_u64).unwrap_or(0);
-            respawns = field("worker_respawns");
-            trips = field("breaker_trips");
-            gave_up = health.get("pool_gave_up").and_then(Json::as_bool) == Some(true);
-            if respawns >= expect_respawns {
-                break;
-            }
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    (respawns, trips, gave_up)
-}
-
 /// Sends the in-protocol shutdown and waits for the server thread to
 /// finish draining. `true` only for a clean, in-time exit.
 fn drain(addr: SocketAddr, done_rx: &mpsc::Receiver<std::io::Result<()>>, c: &Counters) -> bool {
@@ -466,7 +373,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<SoakReport, CliError> {
         // slow-client 408s while the storm is still running.
         read_timeout_ms: 2_000,
         write_timeout_ms: 5_000,
-        chaos_ops: opts.kill_workers > 0,
         ..ServerConfig::default()
     };
     let server = Server::bind(&cfg)?;
@@ -486,9 +392,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<SoakReport, CliError> {
         for i in 0..opts.honest {
             scope.spawn(move || honest_client(addr, i, opts.requests, e, c));
         }
-        if opts.kill_workers > 0 {
-            scope.spawn(move || kill_client(addr, opts, c));
-        }
     });
 
     // Post-storm sweep: the daemon must still serve every roster bench
@@ -496,9 +399,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<SoakReport, CliError> {
     for exp in &expected {
         honest_once(addr, exp, &counters);
     }
-    let kills_confirmed = counters.kills_confirmed.load(Ordering::SeqCst);
-    let (worker_respawns, breaker_trips, pool_gave_up) =
-        final_health(addr, kills_confirmed, &counters);
     let clean_drain = drain(addr, &done_rx, &counters);
     let _ = server_thread.join();
 
@@ -513,11 +413,6 @@ pub fn run_soak(opts: &SoakOpts) -> Result<SoakReport, CliError> {
         honest_ok: counters.honest_ok.load(Ordering::SeqCst),
         honest_mismatches: counters.honest_mismatches.load(Ordering::SeqCst),
         hostile_drops: counters.hostile_drops.load(Ordering::SeqCst),
-        kills_requested: opts.kill_workers as u64,
-        kills_confirmed,
-        worker_respawns,
-        breaker_trips,
-        pool_gave_up,
         clean_drain,
         notes,
     })
@@ -944,8 +839,8 @@ fn crash_drill_verdict(opts: &SoakOpts, report: &CrashDrillReport) -> Result<(),
 /// invariant.
 pub fn soak_cmd(opts: &SoakOpts) -> Result<(), CliError> {
     println!(
-        "chaos soak: seed {}, {} hostile + {} honest clients x {} requests, {} worker kill(s)",
-        opts.seed, opts.hostile, opts.honest, opts.requests, opts.kill_workers
+        "chaos soak: seed {}, {} hostile + {} honest clients x {} requests",
+        opts.seed, opts.hostile, opts.honest, opts.requests
     );
     let report = run_soak(opts)?;
     println!(
@@ -957,12 +852,7 @@ pub fn soak_cmd(opts: &SoakOpts) -> Result<(), CliError> {
         report.hostile_drops
     );
     println!(
-        "worker kills {}/{} confirmed, respawns {}, breaker trips {}, pool gave up: {}, clean drain: {}",
-        report.kills_confirmed,
-        report.kills_requested,
-        report.worker_respawns,
-        report.breaker_trips,
-        if report.pool_gave_up { "yes" } else { "no" },
+        "clean drain: {}",
         if report.clean_drain { "yes" } else { "no" }
     );
     if !report.passed() {
@@ -1023,7 +913,7 @@ mod tests {
     fn is_retryable_matches_backpressure_codes_only() {
         assert!(is_retryable(r#"{"ok":false,"code":429,"error":"busy"}"#));
         assert!(is_retryable(
-            r#"{"ok":false,"code":503,"error":"breaker-open"}"#
+            r#"{"ok":false,"code":503,"error":"overloaded"}"#
         ));
         assert!(!is_retryable(
             r#"{"ok":false,"code":400,"error":"bad-request"}"#

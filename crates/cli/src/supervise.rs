@@ -271,9 +271,9 @@ fn supervise_slot(
 /// `(seed, bench, attempt)` always pauses for the same duration while
 /// distinct seeds decorrelate their retry storms.
 fn backoff_delay_ms(base_ms: u64, seed: Option<u64>, bench: &str, attempt: u32) -> u64 {
-    let policy = powerchop_resilience::RetryPolicy::new(base_ms, 30_000);
+    let policy = crate::retry::RetryPolicy::new(base_ms, 30_000);
     let seed = seed.unwrap_or(powerchop_serve::DEFAULT_FAULT_SEED);
-    let stream = powerchop_resilience::retry::stream_label(bench);
+    let stream = crate::retry::stream_label(bench);
     policy.delay_ms(seed, stream, attempt)
 }
 

@@ -4,7 +4,7 @@
 //! `GET /metrics` endpoint for the Prometheus exposition (counters,
 //! gauges and the per-op latency quantile estimates the daemon derives
 //! from its log2 histograms) and the JSON `health` op for the
-//! breaker/worker/recovery story, then redraws one compact screen with
+//! drain/worker/recovery story, then redraws one compact screen with
 //! ANSI escapes. The qps history renders through
 //! [`powerchop_telemetry::timeline::sparkline`] — the same rendering
 //! primitives the `trace` timeline uses.
@@ -40,11 +40,7 @@ struct Snapshot {
     p999: f64,
     healthy: bool,
     draining: bool,
-    breaker: String,
-    breaker_trips: f64,
     workers: f64,
-    workers_alive: f64,
-    respawns: f64,
     recovery_active: bool,
     runs_resumed: f64,
 }
@@ -74,15 +70,7 @@ fn snapshot(metrics: &HashMap<String, f64>, health: &Json) -> Snapshot {
         p999: m(r#"serve_request_duration_ms_p999{op="run"}"#),
         healthy: hb("healthy"),
         draining: hb("draining"),
-        breaker: health
-            .get("breaker")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned(),
-        breaker_trips: hu("breaker_trips"),
         workers: hu("workers"),
-        workers_alive: hu("workers_alive"),
-        respawns: hu("worker_respawns"),
         recovery_active: hb("recovery_active"),
         runs_resumed: hu("runs_resumed"),
     }
@@ -113,14 +101,7 @@ fn render_frame(addr: &str, snap: &Snapshot, qps: f64, history: &[f64]) -> Strin
         "latency   p50 {:.0}ms   p90 {:.0}ms   p99 {:.0}ms   p999 {:.0}ms   (op=run)\n",
         snap.p50, snap.p90, snap.p99, snap.p999,
     ));
-    out.push_str(&format!(
-        "workers   {}/{} alive   {} respawned   breaker {} ({} trips)\n",
-        snap.workers_alive as u64,
-        snap.workers as u64,
-        snap.respawns as u64,
-        snap.breaker,
-        snap.breaker_trips as u64,
-    ));
+    out.push_str(&format!("workers   {}\n", snap.workers as u64));
     out.push_str(&format!(
         "recovery  {recovery}   {} runs resumed\n",
         snap.runs_resumed as u64,
@@ -188,9 +169,8 @@ mod tests {
         metrics.insert("serve_requests_total".to_owned(), 10.0);
         metrics.insert(r#"serve_request_duration_ms_p50{op="run"}"#.to_owned(), 3.0);
         let health = Json::parse(
-            "{\"healthy\":true,\"draining\":false,\"breaker\":\"closed\",\
-             \"breaker_trips\":1,\"workers\":4,\"workers_alive\":4,\
-             \"worker_respawns\":0,\"recovery_active\":false,\"runs_resumed\":2}",
+            "{\"healthy\":true,\"draining\":false,\"workers\":4,\
+             \"recovery_active\":false,\"runs_resumed\":2}",
         )
         .expect("valid health");
         let s = snapshot(&metrics, &health);
@@ -198,7 +178,7 @@ mod tests {
         assert!((s.p50 - 3.0).abs() < f64::EPSILON);
         assert!((s.p99).abs() < f64::EPSILON, "missing quantile reads as 0");
         assert!(s.healthy);
-        assert_eq!(s.breaker, "closed");
+        assert!((s.workers - 4.0).abs() < f64::EPSILON);
         assert!((s.runs_resumed - 2.0).abs() < f64::EPSILON);
     }
 
@@ -215,11 +195,7 @@ mod tests {
             p999: 21.0,
             healthy: true,
             draining: false,
-            breaker: "closed".into(),
-            breaker_trips: 0.0,
             workers: 4.0,
-            workers_alive: 4.0,
-            respawns: 1.0,
             recovery_active: true,
             runs_resumed: 5.0,
         };
@@ -227,8 +203,7 @@ mod tests {
         assert!(frame.contains("[healthy]"), "{frame}");
         assert!(frame.contains("12.5 qps"), "{frame}");
         assert!(frame.contains("p99 20ms"), "{frame}");
-        assert!(frame.contains("4/4 alive"), "{frame}");
-        assert!(frame.contains("breaker closed"), "{frame}");
+        assert!(frame.contains("workers   4\n"), "{frame}");
         assert!(frame.contains("resuming"), "{frame}");
         assert!(frame.contains('█'), "sparkline renders: {frame}");
         let drained = Snapshot {

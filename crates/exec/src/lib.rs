@@ -31,19 +31,6 @@ pub mod pool;
 
 pub use pool::{SubmitError, WorkerPool};
 
-/// A panic payload that deliberately kills the worker thread running
-/// the job.
-///
-/// Ordinary job panics are contained: the job's completion callback
-/// receives a [`JobPanic`] and the worker survives to serve the next job.
-/// Panicking with this sentinel (`std::panic::panic_any(KillWorker)`)
-/// still calls the callback first — the affected caller gets its typed
-/// error — but then re-raises through the worker loop so the thread
-/// actually dies. It exists so tests and the serve-layer chaos ops can
-/// exercise the pool's supervision/respawn path deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillWorker;
-
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,8 +58,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
-    } else if payload.is::<KillWorker>() {
-        String::from("worker killed by injected fault")
     } else {
         String::from("non-string panic payload")
     }

@@ -18,14 +18,11 @@
 //!   needs no thread of its own per job.
 //! - **Panic isolation.** Jobs run under `catch_unwind`; a panicking job
 //!   hands its callback a [`JobPanic`] and the worker lives on.
-//! - **Worker supervision.** A worker thread that dies anyway (the
-//!   [`KillWorker`](crate::KillWorker) sentinel, or a panicking
-//!   callback) is detected by a drop guard on the dying thread, which
-//!   repairs the liveness accounting and spawns a replacement. Restarts
-//!   are rate-limited by a [`RestartTracker`]: past the storm
-//!   threshold the pool latches [`WorkerPool::gave_up`] and sheds new
-//!   submissions with [`SubmitError::Unavailable`] — but keeps
-//!   respawning, so jobs already queued still run and call back.
+//! - **Crash-only callbacks.** A panic that escapes a completion
+//!   callback is a bug in the caller, not in the job. The worker prints
+//!   one line to stderr and aborts the process, so the process-level
+//!   restart (`serve --supervised` plus boot recovery) takes over; no
+//!   worker thread is ever respawned in place.
 //! - **Graceful shutdown.** Dropping (or [`WorkerPool::close`]-ing) the
 //!   pool stops admission, runs everything already queued, and joins
 //!   the workers — every one but the caller's own, when a callback
@@ -34,9 +31,6 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
-
-use powerchop_resilience::{RestartPolicy, RestartTracker};
 
 use crate::JobPanic;
 
@@ -55,9 +49,6 @@ pub enum SubmitError {
     },
     /// The pool is draining and accepts no new work.
     Closed,
-    /// Workers are crash-looping past the restart-storm threshold; the
-    /// pool sheds new work (HTTP 503 style) instead of feeding the loop.
-    Unavailable,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -67,9 +58,6 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "job queue is full ({queue_depth} waiting)")
             }
             SubmitError::Closed => f.write_str("pool is draining and accepts no new jobs"),
-            SubmitError::Unavailable => {
-                f.write_str("workers are restarting faster than the storm threshold allows")
-            }
         }
     }
 }
@@ -94,24 +82,12 @@ struct PoolState {
     active: usize,
     /// Submission sequence number, used as the [`JobPanic`] index.
     submitted: u64,
-    /// Worker threads currently running their loop.
-    live_workers: usize,
-    /// Worker threads respawned after a death (lifetime count).
-    respawns: u64,
-    /// Latched once the restart tracker declares a storm.
-    gave_up: bool,
-    /// Join handles for respawned workers, joined at shutdown.
-    replacements: Vec<std::thread::JoinHandle<()>>,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled when a job is queued or the pool closes.
     work_ready: Condvar,
-    /// Zero point of the supervision clock (restart-window accounting).
-    epoch: Instant,
-    /// Restart-rate accounting for the supervisor.
-    restarts: Mutex<RestartTracker>,
 }
 
 /// A fixed set of worker threads consuming a bounded job queue.
@@ -132,36 +108,21 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads behind a queue holding at most
-    /// `queue_depth` waiting jobs, supervised under the default
-    /// [`RestartPolicy`]. Both sizes are clamped to at least 1 — a
-    /// zero-worker pool would deadlock every submission and a
+    /// `queue_depth` waiting jobs. Both sizes are clamped to at least 1
+    /// — a zero-worker pool would deadlock every submission and a
     /// zero-depth queue could accept nothing.
     #[must_use]
     pub fn new(workers: usize, queue_depth: usize) -> Self {
-        WorkerPool::with_restart_policy(workers, queue_depth, RestartPolicy::default())
-    }
-
-    /// [`WorkerPool::new`] with an explicit restart-rate policy for the
-    /// worker supervisor.
-    #[must_use]
-    pub fn with_restart_policy(workers: usize, queue_depth: usize, policy: RestartPolicy) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 open: true,
                 active: 0,
                 submitted: 0,
-                live_workers: workers,
-                respawns: 0,
-                gave_up: false,
-                replacements: Vec::new(),
             }),
             work_ready: Condvar::new(),
-            epoch: Instant::now(),
-            restarts: Mutex::new(RestartTracker::new(policy)),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
@@ -181,8 +142,7 @@ impl WorkerPool {
     /// # Errors
     ///
     /// [`SubmitError::Busy`] when the queue already holds `queue_depth`
-    /// waiting jobs, [`SubmitError::Closed`] when the pool is draining,
-    /// [`SubmitError::Unavailable`] past the restart-storm threshold.
+    /// waiting jobs, [`SubmitError::Closed`] when the pool is draining.
     /// A refused job and its callback are dropped uncalled.
     pub fn submit<T, F, D>(&self, job: F, done: D) -> Result<(), SubmitError>
     where
@@ -192,9 +152,6 @@ impl WorkerPool {
         let mut st = lock(&self.shared.state);
         if !st.open {
             return Err(SubmitError::Closed);
-        }
-        if st.gave_up {
-            return Err(SubmitError::Unavailable);
         }
         if st.queue.len() >= self.queue_depth {
             return Err(SubmitError::Busy {
@@ -208,24 +165,10 @@ impl WorkerPool {
             // Settled before the callback runs: by the time a caller
             // hears of a result, the pool no longer counts it in flight.
             lock(&shared.state).active -= 1;
-            match outcome {
-                Ok(value) => done(Ok(value)),
-                Err(payload) => {
-                    // Call back first so the affected caller gets its
-                    // typed error no matter what happens to the worker
-                    // thread next.
-                    done(Err(JobPanic {
-                        index,
-                        message: crate::panic_message(payload.as_ref()),
-                    }));
-                    if payload.is::<crate::KillWorker>() {
-                        // The sentinel asks for the worker itself to
-                        // die; the supervisor guard in `worker_loop`
-                        // respawns it.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
+            done(outcome.map_err(|payload| JobPanic {
+                index,
+                message: crate::panic_message(payload.as_ref()),
+            }));
         }));
         drop(st);
         self.shared.work_ready.notify_one();
@@ -248,26 +191,6 @@ impl WorkerPool {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Worker threads currently running their loop. Transiently below
-    /// [`WorkerPool::workers`] between a worker death and its respawn.
-    #[must_use]
-    pub fn alive(&self) -> usize {
-        lock(&self.shared.state).live_workers
-    }
-
-    /// Worker threads respawned after a death, over the pool's lifetime.
-    #[must_use]
-    pub fn respawns(&self) -> u64 {
-        lock(&self.shared.state).respawns
-    }
-
-    /// Whether the supervisor has latched the restart-storm verdict and
-    /// new submissions are being shed with [`SubmitError::Unavailable`].
-    #[must_use]
-    pub fn gave_up(&self) -> bool {
-        lock(&self.shared.state).gave_up
     }
 
     /// The queue capacity submissions are bounded by.
@@ -293,21 +216,9 @@ impl WorkerPool {
         // its loop once the callback returns; joining it here would
         // deadlock.
         let me = std::thread::current().id();
-        let join = |handle: std::thread::JoinHandle<()>| {
+        for handle in self.workers.drain(..) {
             if handle.thread().id() != me {
                 let _ = handle.join();
-            }
-        };
-        self.workers.drain(..).for_each(join);
-        // Respawned workers register their handles in shared state; a
-        // replacement can itself die and spawn another while we join,
-        // so pop until the list is observed empty. (The lock must be
-        // released before joining: the replacement needs it to exit.)
-        loop {
-            let handle = lock(&self.shared.state).replacements.pop();
-            match handle {
-                Some(h) => join(h),
-                None => break,
             }
         }
     }
@@ -319,11 +230,7 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &Arc<PoolShared>) {
-    let mut sentinel = Sentinel {
-        shared: Arc::clone(shared),
-        armed: true,
-    };
+fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
             let mut st = lock(&shared.state);
@@ -333,66 +240,20 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                     break job;
                 }
                 if !st.open {
-                    st.live_workers = st.live_workers.saturating_sub(1);
-                    sentinel.armed = false;
                     return;
                 }
                 st = wait_on(&shared.work_ready, st);
             }
         };
-        job(shared);
-    }
-}
-
-/// A supervisor guard living on each worker thread. On a clean exit the
-/// loop disarms it; if the worker dies any other way (`resume_unwind`
-/// of a [`crate::KillWorker`] payload, or a panicking callback) its
-/// `Drop` runs *on the dying thread* during unwind: it records the
-/// restart and spawns a replacement so pool capacity recovers. Both
-/// deaths happen after the job's `active` count was already released.
-struct Sentinel {
-    shared: Arc<PoolShared>,
-    armed: bool,
-}
-
-impl Drop for Sentinel {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
+        // The job's own panic was caught inside it; only the caller's
+        // completion callback can unwind this far.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(shared))) {
+            eprintln!(
+                "powerchop-exec: a completion callback panicked ({}); aborting the process",
+                crate::panic_message(payload.as_ref())
+            );
+            std::process::abort();
         }
-        let now_ms = u64::try_from(self.shared.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-        // Past the storm threshold the pool sheds *new* work, but keeps
-        // respawning: jobs already queued must still run and call back,
-        // and a worker has to exist to run them.
-        let stormy = {
-            let mut tracker = lock(&self.shared.restarts);
-            tracker.record(now_ms) == powerchop_resilience::RestartVerdict::Storm
-        };
-        let mut st = lock(&self.shared.state);
-        st.live_workers = st.live_workers.saturating_sub(1);
-        st.gave_up = st.gave_up || stormy;
-        if st.open || !st.queue.is_empty() {
-            let shared = Arc::clone(&self.shared);
-            match std::thread::Builder::new()
-                .name(String::from("powerchop-worker"))
-                .spawn(move || worker_loop(&shared))
-            {
-                Ok(handle) => {
-                    st.respawns += 1;
-                    st.live_workers += 1;
-                    st.replacements.push(handle);
-                }
-                Err(err) => {
-                    // Out of threads: latch the storm verdict so the
-                    // serve layer sheds load instead of queueing into a
-                    // pool that may have no workers left.
-                    st.gave_up = true;
-                    eprintln!("powerchop-exec: failed to respawn worker: {err}");
-                }
-            }
-        }
-        drop(st);
-        self.shared.work_ready.notify_all();
     }
 }
 
@@ -401,6 +262,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+    use std::time::Instant;
 
     /// Submits `job` with a callback that forwards its result to the
     /// returned receiver.
@@ -481,7 +343,6 @@ mod tests {
             submit_recv(&pool, || 5).unwrap().recv().unwrap().unwrap(),
             5
         );
-        assert_eq!(pool.respawns(), 0);
     }
 
     #[test]
@@ -491,11 +352,7 @@ mod tests {
         {
             type Job = fn() -> u32;
             let pool = WorkerPool::new(1, 8);
-            let jobs: [(&str, Job); 3] = [
-                ("ok", || 7),
-                ("panic", || panic!("ordinary panic")),
-                ("kill", || std::panic::panic_any(crate::KillWorker)),
-            ];
+            let jobs: [(&str, Job); 2] = [("ok", || 7), ("panic", || panic!("ordinary panic"))];
             for (name, job) in jobs {
                 let (fired, tx) = (Arc::clone(&fired), tx.clone());
                 pool.submit(job, move |r| {
@@ -505,12 +362,12 @@ mod tests {
                 .unwrap();
             }
             // Dropping the pool runs everything queued and joins every
-            // worker, the respawned one included.
+            // worker.
         }
         drop(tx);
         let got: Vec<(&str, Result<u32, JobPanic>)> = rx.iter().collect();
-        assert_eq!(fired.load(Ordering::SeqCst), 3);
-        assert_eq!(got.len(), 3);
+        assert_eq!(fired.load(Ordering::SeqCst), 2);
+        assert_eq!(got.len(), 2);
         assert_eq!(got[0], ("ok", Ok(7)));
         assert_eq!(got[1].0, "panic");
         assert!(got[1]
@@ -519,39 +376,6 @@ mod tests {
             .unwrap_err()
             .message
             .contains("ordinary panic"));
-        assert_eq!(got[2].0, "kill");
-        assert!(got[2].1.as_ref().unwrap_err().message.contains("killed"));
-    }
-
-    #[test]
-    fn a_kill_worker_callback_fires_before_the_respawn() {
-        let pool = WorkerPool::new(1, 4);
-        let (called, heard) = mpsc::channel::<String>();
-        let (release, gate) = mpsc::channel::<()>();
-        pool.submit(
-            || -> u32 { std::panic::panic_any(crate::KillWorker) },
-            move |r| {
-                called.send(r.unwrap_err().message).unwrap();
-                // Hold the dying worker inside its callback.
-                gate.recv().unwrap();
-            },
-        )
-        .unwrap();
-        assert!(heard.recv().unwrap().contains("killed"));
-        // The callback is running on the doomed worker: nothing has
-        // been respawned yet.
-        assert_eq!(pool.respawns(), 0);
-        assert_eq!(pool.alive(), 1);
-        release.send(()).unwrap();
-        // The pool's only worker died after its callback, so this job
-        // can only complete on the replacement.
-        assert_eq!(
-            submit_recv(&pool, || 7).unwrap().recv().unwrap().unwrap(),
-            7
-        );
-        assert_eq!(pool.respawns(), 1);
-        assert_eq!(pool.alive(), 1);
-        assert!(!pool.gave_up());
     }
 
     #[test]
@@ -608,57 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_worker_respawns_and_service_continues() {
-        let pool = WorkerPool::new(1, 4);
-        let dead = submit_recv(&pool, || -> u32 {
-            std::panic::panic_any(crate::KillWorker)
-        })
-        .unwrap();
-        // The affected request still gets its typed error...
-        let err = dead.recv().unwrap().unwrap_err();
-        assert!(err.message.contains("killed"), "{}", err.message);
-        // ...and the pool's only worker died with it, so this next job
-        // can only complete if the supervisor respawned one.
-        assert_eq!(
-            submit_recv(&pool, || 7).unwrap().recv().unwrap().unwrap(),
-            7
-        );
-        assert_eq!(pool.respawns(), 1);
-        assert_eq!(pool.alive(), 1);
-        assert!(!pool.gave_up());
-    }
-
-    #[test]
-    fn restart_storm_latches_and_sheds_new_work() {
-        let pool = WorkerPool::with_restart_policy(1, 8, RestartPolicy::new(60_000, 2));
-        // Two restarts fit the policy; the third latches the storm.
-        for _ in 0..3 {
-            let rx = submit_recv(&pool, || std::panic::panic_any(crate::KillWorker)).unwrap();
-            let _: Result<(), JobPanic> = rx.recv().unwrap();
-        }
-        while !pool.gave_up() {
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            pool.submit(|| 1, |_| ()).unwrap_err(),
-            SubmitError::Unavailable
-        );
-        // Storm mode keeps respawning (queued jobs must still run), it
-        // only sheds admissions.
-        assert_eq!(pool.respawns(), 3);
-        assert_eq!(pool.alive(), 1);
-    }
-
-    #[test]
-    fn a_killed_worker_does_not_leak_inflight_accounting() {
-        let pool = WorkerPool::new(2, 8);
-        let rx = submit_recv(&pool, || std::panic::panic_any(crate::KillWorker)).unwrap();
-        let _: Result<(), JobPanic> = rx.recv().unwrap();
-        // The dead worker must not leave a phantom in-flight job behind.
-        assert_eq!(pool.inflight(), 0);
-    }
-
-    #[test]
     fn queue_wait_runs_from_submission_to_pickup() {
         let pool = WorkerPool::new(1, 4);
         let (release, gate) = mpsc::channel::<()>();
@@ -676,6 +449,47 @@ mod tests {
         assert!(
             waited >= std::time::Duration::from_millis(2),
             "queued job waited {waited:?}"
+        );
+    }
+
+    /// A panicking completion callback takes the whole process down.
+    /// The test re-runs itself as a child, marked by an environment
+    /// variable; the child's callback panics and the parent checks how
+    /// the child died.
+    #[test]
+    fn a_panicking_callback_aborts_the_process() {
+        const CHILD: &str = "POWERCHOP_EXEC_ABORT_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            let pool = WorkerPool::new(1, 1);
+            pool.submit(|| 7, |_| panic!("callback blows up"))
+                .expect("an idle pool accepts the job");
+            // Closing waits for the queued job, whose callback aborts.
+            pool.close();
+            unreachable!("the callback's panic must abort the process");
+        }
+        let exe = std::env::current_exe().expect("the test binary has a path");
+        let out = std::process::Command::new(exe)
+            .args([
+                "--exact",
+                "pool::tests::a_panicking_callback_aborts_the_process",
+                "--nocapture",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .expect("the child test runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(
+            out.status.signal(),
+            Some(6),
+            "the child must die by SIGABRT, not {}: {stderr}",
+            out.status
+        );
+        assert!(
+            stderr.contains(
+                "powerchop-exec: a completion callback panicked (callback blows up); aborting the process"
+            ),
+            "{stderr}"
         );
     }
 

@@ -443,8 +443,7 @@ pub fn spec_to_record(spec: &RunSpec) -> SpecRecord {
 
 /// Decodes a journaled spec back into a dispatchable [`RunSpec`].
 /// Resumed runs get the server's own deadline cap — the original
-/// client's deadline died with the original client — and can never be
-/// chaos runs (chaos requests are not journaled). Returns `None` for
+/// client's deadline died with the original client. Returns `None` for
 /// records a different version journaled (unknown manager tag,
 /// non-finite scale): skipping them is the safe reading.
 pub(crate) fn record_to_spec(rec: &SpecRecord, deadline_ms: u64) -> Option<RunSpec> {
@@ -472,7 +471,6 @@ pub(crate) fn record_to_spec(rec: &SpecRecord, deadline_ms: u64) -> Option<RunSp
         seed: rec.seed,
         storm: rec.storm,
         deadline_ms,
-        chaos_panic: false,
     })
 }
 
@@ -496,7 +494,6 @@ mod tests {
             seed: Some(7),
             storm: false,
             deadline_ms: 1_000,
-            chaos_panic: false,
         }
     }
 
@@ -520,7 +517,6 @@ mod tests {
             assert_eq!(back.scale.to_bits(), s.scale.to_bits());
             assert_eq!(back.seed, s.seed);
             assert_eq!(back.deadline_ms, 5_000, "resume uses the server cap");
-            assert!(!back.chaos_panic);
         }
     }
 

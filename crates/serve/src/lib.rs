@@ -5,10 +5,10 @@
 //! `status`, `health`, `metrics` and `shutdown`. Simulations dispatch
 //! onto the bounded [`powerchop_exec::WorkerPool`]; a full queue sheds
 //! requests with an explicit 429-style reply instead of queueing
-//! unboundedly, a max-connections gate and per-socket timeouts shed
-//! slow or excess clients with typed replies, and a circuit breaker
-//! plus worker supervision keep the daemon serving through repeated
-//! failures (see `powerchop-resilience`).
+//! unboundedly, and a max-connections gate and per-socket timeouts shed
+//! slow or excess clients with typed replies. A panicking run is a typed
+//! 500 on a surviving worker; the daemon has no in-process restart path,
+//! and `powerchop-cli serve --supervised` restarts a crashed process.
 //! Completed reports land in an LRU cache keyed by the checkpoint
 //! crate's program + configuration fingerprints, so repeated requests
 //! are answered from memory, bit-identically. Every run has a wall-clock
@@ -34,7 +34,7 @@
 //! - [`durability`] — the one run path (builder, resume, stepping
 //!   loop, snapshot metadata) and the journal/spill/result-log glue over
 //!   `powerchop-durable`, shared with the CLI.
-//! - [`net`] — raw epoll/eventfd syscall wrappers (the only unsafe code).
+//! - [`net`] — epoll/eventfd wrappers over libc (the only unsafe code).
 //! - [`wheel`] — the timing wheel behind read/write deadlines.
 //! - [`server`] — the epoll event loop, dispatch, drain.
 //! - `report` — the shared run-report serializer the CLI re-exports.
@@ -42,9 +42,9 @@
 //! See `DESIGN.md` §9 for the protocol and backpressure policy, §11
 //! for the durability model and §14 for the event-loop state machine.
 
-// `deny` rather than `forbid`: the `net` module issues the epoll
-// syscalls via inline asm (the workspace is dependency-free) and opts
-// in explicitly; everything else stays unsafe-free.
+// `deny` rather than `forbid`: the `net` module calls the libc epoll
+// and eventfd functions (the workspace is dependency-free) and opts in
+// explicitly; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,100 +1,30 @@
 //! Dependency-free Linux readiness primitives for the serve event loop.
 //!
-//! The workspace has no external crates, so the three epoll syscalls
-//! (`epoll_create1`, `epoll_ctl`, `epoll_wait`) and the eventfd wakeup
-//! channel are issued directly via inline asm, mirroring the JIT code
-//! arena's raw `mmap`/`mprotect`/`munmap` style
-//! (`crates/bt/src/jit/backend/arena.rs`). Everything above this module
-//! is safe code: the wrappers own their fds, close them on drop, and
-//! expose `std::io::Result` like any other I/O handle.
-//!
-//! Only the syscall layer differs per architecture; x86-64 and aarch64
-//! Linux are both covered (aarch64 has no `epoll_wait`, so both arches
-//! go through `epoll_pwait` with a null sigmask).
+//! The workspace has no external crates, so the epoll and eventfd calls
+//! are `extern "C"` declarations of the libc functions std already links
+//! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`, `read`,
+//! `write`, `close`), the way `perfbench/src/host.rs` declares
+//! `getrusage`. Errors come from `errno` through
+//! `std::io::Error::last_os_error`. Everything above this module is safe
+//! code: the wrappers own their fds, close them on drop, and expose
+//! `std::io::Result` like any other I/O handle.
 #![allow(unsafe_code)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("powerchop-serve's event loop drives epoll directly and requires Linux");
 
-#[cfg(target_arch = "x86_64")]
-mod sys {
-    pub const READ: usize = 0;
-    pub const WRITE: usize = 1;
-    pub const CLOSE: usize = 3;
-    pub const EPOLL_CTL: usize = 233;
-    pub const EPOLL_PWAIT: usize = 281;
-    pub const EVENTFD2: usize = 290;
-    pub const EPOLL_CREATE1: usize = 291;
+use std::ffi::{c_int, c_uint, c_void};
+use std::io::{Error, ErrorKind};
 
-    /// One raw syscall. Unused argument registers carry zeros, which
-    /// every syscall used here ignores.
-    pub unsafe fn syscall6(
-        nr: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") nr as isize => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn close(fd: c_int) -> c_int;
 }
-
-#[cfg(target_arch = "aarch64")]
-mod sys {
-    pub const READ: usize = 63;
-    pub const WRITE: usize = 64;
-    pub const CLOSE: usize = 57;
-    pub const EPOLL_CTL: usize = 21;
-    pub const EPOLL_PWAIT: usize = 22;
-    pub const EVENTFD2: usize = 19;
-    pub const EPOLL_CREATE1: usize = 20;
-
-    pub unsafe fn syscall6(
-        nr: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                inlateout("x0") a1 as isize => ret,
-                in("x1") a2,
-                in("x2") a3,
-                in("x3") a4,
-                in("x4") a5,
-                in("x5") a6,
-                in("x8") nr,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-use sys::syscall6;
 
 /// Readable (there is input, or the peer closed).
 pub const EPOLLIN: u32 = 0x001;
@@ -105,13 +35,12 @@ pub const EPOLLERR: u32 = 0x008;
 /// Hangup (always reported, never requested).
 pub const EPOLLHUP: u32 = 0x010;
 
-const EPOLL_CTL_ADD: usize = 1;
-const EPOLL_CTL_DEL: usize = 2;
-const EPOLL_CTL_MOD: usize = 3;
-const EPOLL_CLOEXEC: usize = 0x80000;
-const EFD_NONBLOCK: usize = 0x800;
-const EFD_CLOEXEC: usize = 0x80000;
-const EINTR: isize = -4;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0x80000;
+const EFD_NONBLOCK: c_int = 0x800;
+const EFD_CLOEXEC: c_int = 0x80000;
 
 /// One readiness report from [`Epoll::wait`]. The kernel's layout: on
 /// x86-64 the struct is packed (a 12-byte record); elsewhere it is
@@ -126,23 +55,26 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// Converts a raw syscall return into an `io::Result`.
-fn check(ret: isize) -> std::io::Result<isize> {
-    if (-4095..0).contains(&ret) {
-        Err(std::io::Error::from_raw_os_error(-ret as i32))
+/// Converts a libc return value into an `io::Result`: negative means
+/// failure, with the reason in `errno`.
+fn check(ret: c_int) -> std::io::Result<c_int> {
+    if ret < 0 {
+        Err(Error::last_os_error())
     } else {
         Ok(ret)
     }
 }
 
-fn close_fd(fd: i32) {
-    unsafe { syscall6(sys::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
+fn close_fd(fd: c_int) {
+    // SAFETY: `fd` is owned by the wrapper being dropped and is closed
+    // exactly once.
+    unsafe { close(fd) };
 }
 
 /// An owned epoll instance: register fds with a `u64` token, then
 /// [`wait`](Epoll::wait) for readiness.
 pub struct Epoll {
-    fd: i32,
+    fd: c_int,
 }
 
 impl Epoll {
@@ -152,11 +84,12 @@ impl Epoll {
     ///
     /// Propagates the kernel's refusal (fd exhaustion, mostly).
     pub fn new() -> std::io::Result<Self> {
-        let fd = check(unsafe { syscall6(sys::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
-        Ok(Self { fd: fd as i32 })
+        // SAFETY: `epoll_create1` takes no pointers.
+        let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Self { fd })
     }
 
-    fn ctl(&self, op: usize, fd: i32, events: u32, token: u64) -> std::io::Result<()> {
+    fn ctl(&self, op: c_int, fd: i32, events: u32, token: u64) -> std::io::Result<()> {
         let mut ev = EpollEvent {
             events,
             data: token,
@@ -164,20 +97,12 @@ impl Epoll {
         let ptr = if op == EPOLL_CTL_DEL {
             std::ptr::null_mut()
         } else {
-            &mut ev as *mut EpollEvent
+            &raw mut ev
         };
-        check(unsafe {
-            syscall6(
-                sys::EPOLL_CTL,
-                self.fd as usize,
-                op,
-                fd as usize,
-                ptr as usize,
-                0,
-                0,
-            )
-        })
-        .map(|_| ())
+        // SAFETY: `ptr` is null (allowed for `EPOLL_CTL_DEL`) or points
+        // at `ev`, a live `EpollEvent` in the kernel's layout that the
+        // call only reads.
+        check(unsafe { epoll_ctl(self.fd, op, fd, ptr) }).map(|_| ())
     }
 
     /// Registers `fd` for `events`, delivering `token` on readiness.
@@ -212,21 +137,16 @@ impl Epoll {
     ///
     /// Propagates genuine `epoll_wait` failures (`EBADF`, `EFAULT`).
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> std::io::Result<usize> {
-        let ret = unsafe {
-            syscall6(
-                sys::EPOLL_PWAIT,
-                self.fd as usize,
-                events.as_mut_ptr() as usize,
-                events.len(),
-                timeout_ms as isize as usize,
-                0, // null sigmask: plain epoll_wait semantics
-                0,
-            )
-        };
-        if ret == EINTR {
-            return Ok(0);
+        let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
+        // SAFETY: the kernel writes at most `max <= events.len()` entries
+        // of the `EpollEvent` layout into the buffer `events` borrows
+        // mutably for the call.
+        let ret = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
+        match check(ret) {
+            Ok(n) => Ok(n as usize),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(0),
+            Err(e) => Err(e),
         }
-        check(ret).map(|n| n as usize)
     }
 }
 
@@ -241,7 +161,7 @@ impl Drop for Epoll {
 /// `epoll_wait` returns immediately. Cheap enough to ring on every
 /// completion; the loop drains the counter in one read.
 pub struct WakeFd {
-    fd: i32,
+    fd: c_int,
 }
 
 impl WakeFd {
@@ -251,9 +171,9 @@ impl WakeFd {
     ///
     /// Propagates the kernel's refusal.
     pub fn new() -> std::io::Result<Self> {
-        let fd =
-            check(unsafe { syscall6(sys::EVENTFD2, 0, EFD_NONBLOCK | EFD_CLOEXEC, 0, 0, 0, 0) })?;
-        Ok(Self { fd: fd as i32 })
+        // SAFETY: `eventfd` takes no pointers.
+        let fd = check(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
+        Ok(Self { fd })
     }
 
     /// The fd to register with [`Epoll::add`].
@@ -267,33 +187,16 @@ impl WakeFd {
     /// until the next loop iteration's drain.
     pub fn ring(&self) {
         let one: u64 = 1;
-        unsafe {
-            syscall6(
-                sys::WRITE,
-                self.fd as usize,
-                (&raw const one) as usize,
-                8,
-                0,
-                0,
-                0,
-            )
-        };
+        // SAFETY: the call reads the 8 bytes of `one`, which outlives it.
+        unsafe { write(self.fd, (&raw const one).cast(), 8) };
     }
 
     /// Clears the pending wakeup count (one read resets an eventfd).
     pub fn drain(&self) {
         let mut buf: u64 = 0;
-        unsafe {
-            syscall6(
-                sys::READ,
-                self.fd as usize,
-                (&raw mut buf) as usize,
-                8,
-                0,
-                0,
-                0,
-            )
-        };
+        // SAFETY: the call writes at most the 8 bytes of `buf`, which
+        // outlives it.
+        unsafe { read(self.fd, (&raw mut buf).cast(), 8) };
     }
 }
 

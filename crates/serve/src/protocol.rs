@@ -5,7 +5,7 @@
 //!
 //! | op         | extra fields                                              |
 //! |------------|-----------------------------------------------------------|
-//! | `run`      | `bench` (required), `manager`, `budget`, `scale`, `seed`, `storm`, `deadline_ms`, `chaos` (gated) |
+//! | `run`      | `bench` (required), `manager`, `budget`, `scale`, `seed`, `storm`, `deadline_ms` |
 //! | `sweep`    | `benches` (array) or `suite`, plus the `run` knobs        |
 //! | `status`   | —                                                         |
 //! | `health`   | —                                                         |
@@ -15,14 +15,10 @@
 //! Error replies are `{"ok":false,"code":N,"error":"<slug>","message":...}`
 //! with HTTP-flavored codes: 400 bad request, 404 unknown benchmark,
 //! 408 deadline expired or slow client, 429 queue full, 500 internal,
-//! 503 draining / overloaded / breaker-open / unavailable.
+//! 503 draining / overloaded.
 //! Validation here mirrors the CLI flag parsers in `powerchop-cli`
 //! exactly — a request the daemon accepts is a run the CLI would accept.
-//!
-//! The `chaos` field (`"chaos":"panic"`) asks the daemon to kill the
-//! worker thread mid-run, exercising the supervision path. It is only
-//! honored when the daemon was started with chaos ops enabled
-//! (`--chaos-ops`); otherwise it is refused with a 400.
+//! Fields an op does not know are ignored.
 
 use powerchop::ManagerKind;
 use powerchop_faults::FaultConfig;
@@ -60,9 +56,6 @@ pub struct Limits {
     /// Per-request wall-clock deadline cap in milliseconds; a request
     /// may shrink its own deadline but never extend past this.
     pub deadline_ms: u64,
-    /// Whether `"chaos"` ops (deliberate worker kills) are honored.
-    /// Off by default; enabled by `--chaos-ops` for soak testing.
-    pub allow_chaos: bool,
 }
 
 /// A typed request failure, carried to the client as an error reply.
@@ -147,28 +140,6 @@ impl ReqError {
         }
     }
 
-    /// 503: the circuit breaker is open after repeated run failures.
-    #[must_use]
-    pub fn breaker_open(retry_after_ms: u64) -> Self {
-        Self {
-            code: 503,
-            slug: "breaker-open",
-            message: format!(
-                "circuit breaker is open after repeated failures; retry in {retry_after_ms} ms"
-            ),
-        }
-    }
-
-    /// 503: workers are crash-looping past the restart-storm threshold.
-    #[must_use]
-    pub fn unavailable() -> Self {
-        Self {
-            code: 503,
-            slug: "unavailable",
-            message: "workers are restarting faster than the storm threshold allows".into(),
-        }
-    }
-
     /// 408: the client was too slow to send (or receive) a full line.
     #[must_use]
     pub fn slow_client(timeout_ms: u64) -> Self {
@@ -222,9 +193,6 @@ pub struct RunSpec {
     /// Effective wall-clock deadline for this run, already clamped to
     /// the server cap. Zero is an immediately-expired deadline.
     pub deadline_ms: u64,
-    /// Kill the worker thread mid-run (`"chaos":"panic"`). Only parses
-    /// when [`Limits::allow_chaos`] is set.
-    pub chaos_panic: bool,
 }
 
 /// A parsed request line.
@@ -236,8 +204,8 @@ pub enum Request {
     Sweep(Vec<RunSpec>),
     /// Report queue/cache/drain state.
     Status,
-    /// Report liveness/readiness: breaker state, worker liveness,
-    /// queue depth, restart counts.
+    /// Report liveness/readiness: drain state, worker and queue counts,
+    /// connections and the recovery ledger.
     Health,
     /// Return the Prometheus metrics text.
     Metrics,
@@ -325,20 +293,6 @@ fn run_spec(v: &Json, limits: &Limits, bench: Option<&str>) -> Result<RunSpec, R
     let deadline_ms = want_u64(v, "deadline_ms")?
         .unwrap_or(limits.deadline_ms)
         .min(limits.deadline_ms);
-    let chaos_panic = match want_str(v, "chaos")? {
-        None => false,
-        Some(_) if !limits.allow_chaos => {
-            return Err(ReqError::bad_request(
-                "chaos ops are disabled; start the daemon with --chaos-ops to enable them",
-            ))
-        }
-        Some("panic") => true,
-        Some(other) => {
-            return Err(ReqError::bad_request(format!(
-                "unknown chaos op {other:?} (expected \"panic\")"
-            )))
-        }
-    };
     Ok(RunSpec {
         bench,
         manager,
@@ -347,7 +301,6 @@ fn run_spec(v: &Json, limits: &Limits, bench: Option<&str>) -> Result<RunSpec, R
         seed,
         storm,
         deadline_ms,
-        chaos_panic,
     })
 }
 
@@ -539,14 +492,6 @@ mod tests {
         Limits {
             max_budget: 1_000_000_000,
             deadline_ms: 120_000,
-            allow_chaos: false,
-        }
-    }
-
-    fn chaos_limits() -> Limits {
-        Limits {
-            allow_chaos: true,
-            ..limits()
         }
     }
 
@@ -673,24 +618,14 @@ mod tests {
     }
 
     #[test]
-    fn chaos_ops_are_gated_behind_the_limit_flag() {
-        let line = r#"{"op":"run","bench":"hmmer","chaos":"panic"}"#;
-        let e = bad(line);
-        assert_eq!(e.code, 400);
-        assert!(e.message.contains("--chaos-ops"), "{e}");
-
-        let r = parse_request(line, &chaos_limits()).unwrap();
-        let Request::Run(spec) = r else {
-            panic!("expected run")
-        };
-        assert!(spec.chaos_panic);
-
-        let e = parse_request(
-            r#"{"op":"run","bench":"hmmer","chaos":"meteor"}"#,
-            &chaos_limits(),
+    fn unknown_fields_are_ignored() {
+        let plain = parse_request(r#"{"op":"run","bench":"hmmer"}"#, &limits()).unwrap();
+        let extra = parse_request(
+            r#"{"op":"run","bench":"hmmer","chaos":"panic","colour":[1,2]}"#,
+            &limits(),
         )
-        .expect_err("unknown chaos op");
-        assert!(e.message.contains("unknown chaos op"), "{e}");
+        .unwrap();
+        assert_eq!(plain, extra);
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! retry against. A dispatched run parks its connection in an in-flight
 //! state (its socket stops being polled for input, so a pipelined flood
 //! backs up into the kernel buffer). The job's completion callback
-//! settles the outcome on the worker that ran it — breaker, counters,
-//! cache and journal — then hands the row back to the loop over an
+//! settles the outcome on the worker that ran it — counters, cache and
+//! journal — then hands the row back to the loop over an
 //! eventfd wakeup. Sweeps and boot recovery are loop-owned batches: the
 //! loop submits their rows until the pool answers `Busy` and resubmits
 //! when a completion arrives. The daemon runs on the loop thread and the
-//! pool workers, and on no other thread.
+//! pool workers, and on no other thread. A run's panic becomes a typed
+//! 500 on a surviving worker; anything worse aborts the process, and
+//! `serve --supervised` plus boot recovery restart it (crash-only: there
+//! is no in-process restart path).
 //!
 //! Every run gets a wall-clock deadline, fixed as an absolute instant
 //! when its job is submitted, so time spent waiting for a worker can
@@ -35,10 +38,7 @@
 //! outbox caps what a non-reading client can queue; past the cap the
 //! connection is closed with a typed 408 — replies are never truncated
 //! mid-line. A max-connections gate sheds excess connections with a
-//! typed 503, a circuit breaker over the run path sheds work with a
-//! typed 503 while the simulator is failing repeatedly, and dead
-//! workers are respawned by the pool supervisor (visible in
-//! `serve_worker_respawns_total` and the `health` op).
+//! typed 503.
 //!
 //! Completed reports are cached in a sharded LRU keyed by
 //! [`powerchop_checkpoint::run_key`] over the program and configuration
@@ -64,10 +64,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{RunConfig, RunReport, SimError, Simulation, STEP_CHUNK};
+use powerchop::{RunConfig, RunReport, SimError};
 use powerchop_durable::PendingIntent;
-use powerchop_exec::{JobPanic, KillWorker, SubmitError, WorkerPool};
-use powerchop_resilience::{Admission, CircuitBreaker};
+use powerchop_exec::{JobPanic, SubmitError, WorkerPool};
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{
     format_trace_id, trace_id, MetricsRegistry, Phase, SpanLedger, TelemetryConfig, Tracer,
@@ -118,9 +117,6 @@ pub struct ServerConfig {
     /// reply into an empty outbox is always allowed, so the per-
     /// connection memory bound is `max(cap, largest single reply)`.
     pub max_outbox_bytes: usize,
-    /// Honor `"chaos"` request fields (deliberate worker kills). Off by
-    /// default; only soak/chaos tests should enable it.
-    pub chaos_ops: bool,
     /// Directory for the write-ahead intent journal and checkpoint
     /// spills. `None` disables crash consistency entirely.
     pub journal_dir: Option<String>,
@@ -157,7 +153,6 @@ impl Default for ServerConfig {
             read_timeout_ms: 30_000,
             write_timeout_ms: 10_000,
             max_outbox_bytes: 1 << 20,
-            chaos_ops: false,
             journal_dir: None,
             cache_dir: None,
             spill_every: 2_000_000,
@@ -273,7 +268,7 @@ impl RequestCtx {
 }
 
 /// Locks a mutex, riding through poisoning: a panicked holder cannot
-/// corrupt the metrics or breaker invariants we rely on.
+/// corrupt the metrics invariants we rely on.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -298,11 +293,7 @@ struct State {
     /// Unflushed reply bytes across every connection (the
     /// `serve_outbox_bytes` gauge).
     outbox_bytes: AtomicU64,
-    /// Circuit breaker over run execution: repeated internal failures
-    /// trip it and new runs are shed with a typed 503 until a probe
-    /// succeeds.
-    breaker: Mutex<CircuitBreaker>,
-    /// Zero point of the breaker's logical millisecond clock.
+    /// Zero point of the daemon's millisecond clock.
     epoch: Instant,
     /// Crash-consistency machinery (`None` when `--journal-dir` is
     /// unset: the daemon runs memory-only, exactly as before).
@@ -336,8 +327,8 @@ impl State {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Milliseconds since the daemon booted (the breaker and wheel
-    /// clock).
+    /// Milliseconds since the daemon booted (the wheel clock, uptime
+    /// and access-log timestamps).
     fn now_ms(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
@@ -410,33 +401,6 @@ impl State {
         w.finish()
     }
 
-    /// Asks the breaker whether a run may proceed right now.
-    fn breaker_admit(&self) -> Result<(), ReqError> {
-        match lock(&self.breaker).admit(self.now_ms()) {
-            Admission::Allow | Admission::Probe => Ok(()),
-            Admission::Reject { retry_after_ms } => {
-                Err(ReqError::breaker_open(retry_after_ms.max(1)))
-            }
-        }
-    }
-
-    /// Feeds a run outcome back to the breaker. Only *infrastructure*
-    /// failures (simulator errors, worker panics) count against it;
-    /// deadline expiries and shed requests say nothing about the
-    /// health of the run path.
-    fn breaker_observe(&self, ok: bool) {
-        let mut breaker = lock(&self.breaker);
-        let now = self.now_ms();
-        if ok {
-            breaker.record_success(now);
-        } else {
-            breaker.record_failure(now);
-        }
-        let trips = breaker.trips();
-        drop(breaker);
-        lock(&self.metrics).counter_set("serve_breaker_trips_total", trips);
-    }
-
     /// Snapshot the live gauges and render the Prometheus text.
     fn prometheus_text(&self) -> String {
         let mut m = lock(&self.metrics);
@@ -448,7 +412,6 @@ impl State {
             "serve_connections",
             self.connections.load(Ordering::SeqCst) as f64,
         );
-        m.gauge_set("serve_workers_alive", self.pool.alive() as f64);
         m.gauge_set(
             "serve_inflight_requests",
             self.inflight_requests.load(Ordering::SeqCst) as f64,
@@ -457,8 +420,6 @@ impl State {
             "serve_outbox_bytes",
             self.outbox_bytes.load(Ordering::SeqCst) as f64,
         );
-        m.counter_set("serve_worker_respawns_total", self.pool.respawns());
-        m.counter_set("serve_breaker_trips_total", lock(&self.breaker).trips());
         // Refresh the quantile gauges from the log2 histograms so every
         // scrape carries current p50/p90/p99/p999 estimates alongside
         // the raw buckets.
@@ -494,11 +455,9 @@ impl Server {
         let mut metrics = MetricsRegistry::new();
         // Seed the resilience and recovery counters at zero so a
         // metrics scrape sees them before the first
-        // trip/retry/respawn/shed/recovery ever happens.
+        // retry/shed/recovery ever happens.
         for name in [
-            "serve_breaker_trips_total",
             "serve_retries_total",
-            "serve_worker_respawns_total",
             "serve_slow_client_disconnects_total",
             "serve_conn_rejected_total",
             "serve_epoll_wakeups_total",
@@ -546,14 +505,6 @@ impl Server {
         metrics.set_help(
             "serve_cache_hits_total",
             "Run requests answered bit-identically from the result cache.",
-        );
-        metrics.set_help(
-            "serve_breaker_trips_total",
-            "Circuit-breaker transitions to open.",
-        );
-        metrics.set_help(
-            "serve_worker_respawns_total",
-            "Dead pool workers replaced by the supervisor.",
         );
         metrics.set_help(
             "serve_epoll_wakeups_total",
@@ -613,7 +564,6 @@ impl Server {
             limits: Limits {
                 max_budget: cfg.max_budget,
                 deadline_ms: cfg.deadline_ms,
-                allow_chaos: cfg.chaos_ops,
             },
             max_request_bytes: cfg.max_request_bytes,
             addr,
@@ -623,7 +573,6 @@ impl Server {
             write_timeout_ms: cfg.write_timeout_ms,
             max_outbox_bytes: cfg.max_outbox_bytes.max(1),
             outbox_bytes: AtomicU64::new(0),
-            breaker: Mutex::new(CircuitBreaker::default()),
             epoch: Instant::now(),
             durable,
             trace_seed: cfg.seed.unwrap_or_else(entropy_seed),
@@ -1632,9 +1581,9 @@ impl EventLoop<'_> {
         let recovery = matches!(batch.owner, Owner::Recovery { .. });
         while batch.next < batch.rows.len() {
             // Recovery keeps one row outstanding so live traffic keeps
-            // most of the pool, and stops on drain or once the pool gave
-            // up: its undispatched rows stay journaled for the next boot.
-            if recovery && (batch.outstanding > 0 || state.draining() || state.pool.gave_up()) {
+            // most of the pool, and stops on drain: its undispatched rows
+            // stay journaled for the next boot.
+            if recovery && (batch.outstanding > 0 || state.draining()) {
                 return true;
             }
             let index = batch.next;
@@ -1731,16 +1680,15 @@ impl EventLoop<'_> {
     fn take_settled(&mut self, id: u64) -> Option<(u64, RequestCtx, String)> {
         let state = self.state;
         let batch = self.batches.get(&id)?;
-        let stopped = matches!(batch.owner, Owner::Recovery { .. })
-            && (state.draining() || state.pool.gave_up());
+        let stopped = matches!(batch.owner, Owner::Recovery { .. }) && state.draining();
         if batch.outstanding > 0 || (batch.next < batch.rows.len() && !stopped) {
             return None;
         }
         let mut batch = self.batches.remove(&id)?;
         self.parked.remove(&id);
         if batch.next < batch.rows.len() {
-            // Recovery stopped by a drain or a pool that gave up: this and
-            // every later intent stay journaled for the next boot.
+            // Recovery stopped by a drain: this and every later intent
+            // stay journaled for the next boot.
             let rest = self.recovery.clone();
             self.batches.retain(|id, _| !rest.contains(id));
             self.recovery.start = rest.end;
@@ -1887,8 +1835,7 @@ fn refusal_metric(code: u16) -> &'static str {
 
 /// A row's front half on the loop: prepare it and look it up in the
 /// cache. With a client waiting the lookup is charged to its cache span
-/// and counted, and a lone run must pass the breaker, then journals its
-/// own intent before dispatch. `Err` settles the row on the spot with a
+/// and counted, and a lone run journals its own intent before dispatch. `Err` settles the row on the spot with a
 /// cache hit or a refusal. Recovery looks up silently: a cached row
 /// owes nothing.
 fn admit_row(
@@ -1925,17 +1872,12 @@ fn admit_row(
         state.count("serve_cache_hits_total");
         return Err(hit);
     }
-    if lone {
-        state.breaker_admit().map_err(SweepOutcome::Failed)?;
-    }
     state.count("serve_cache_misses_total");
     if lone {
-        // Chaos runs are never journaled: a deliberately-killed worker
-        // is a drill, not work the daemon owes anyone after a restart.
         // The intent carries the trace id, so a crash-recovery resume
         // stays attributable to the request that created the obligation.
         let journal_started = Instant::now();
-        if let Some(d) = state.durable.as_ref().filter(|_| !spec.chaos_panic) {
+        if let Some(d) = &state.durable {
             let id = d.next_intent_id();
             d.journal_intent(id, ctx.trace, std::slice::from_ref(spec));
             *intent = Some(id);
@@ -1948,10 +1890,9 @@ fn admit_row(
 /// Submits one row — a lone run, a sweep row or a resumed row alike —
 /// to the pool, its deadline fixed here so queue wait counts against
 /// it. The completion callback settles the outcome on the worker and
-/// hands the row back to the loop. Only a `lone` run honours `chaos`
-/// (it steps one chunk and then kills its worker with the
-/// [`KillWorker`] sentinel) and retires its own intent from the worker.
-/// Resumed rows run untraced: nobody is waiting to read their spans.
+/// hands the row back to the loop. Only a `lone` run retires its own
+/// intent from the worker. Resumed rows run untraced: nobody is waiting
+/// to read their spans.
 fn submit_row(
     state: &Arc<State>,
     slot: (u64, usize),
@@ -1961,20 +1902,12 @@ fn submit_row(
     lone: bool,
 ) -> Result<(), SubmitError> {
     let submitted = Instant::now();
-    let (deadline_ms, chaos_panic) = (spec.deadline_ms, lone && spec.chaos_panic);
+    let deadline_ms = spec.deadline_ms;
     let traced = state.traced() && !plan.as_ref().is_some_and(|p| p.recovery);
     let retire = plan.clone().filter(|_| lone);
     let ready = Arc::clone(ready);
     let key = ready.key;
-    let job = move || {
-        if chaos_panic {
-            if let Ok(mut sim) = Simulation::new(&ready.program, ready.kind, &ready.cfg) {
-                let _ = sim.step_chunk(STEP_CHUNK);
-            }
-            std::panic::panic_any(KillWorker);
-        }
-        run_until(&ready, submitted, deadline_ms, plan.as_ref(), traced)
-    };
+    let job = move || run_until(&ready, submitted, deadline_ms, plan.as_ref(), traced);
     let shared = Arc::clone(state);
     state.pool.submit(job, move |result| {
         let mut done = settle(&shared, slot, key, result);
@@ -2057,8 +1990,7 @@ fn run_until(
 }
 
 /// A row's completion callback, on the worker that ran it: folds the
-/// outcome into the breaker, the counters and the cache (plus the cache
-/// log), and charges the worker-side spans. The report string is exactly
+/// outcome into the counters and the cache (plus the cache log), and charges the worker-side spans. The report string is exactly
 /// what the cache will replay for the next identical request.
 fn settle(
     state: &State,
@@ -2071,22 +2003,13 @@ fn settle(
     let outcome = match result {
         Err(panic) => {
             state.count("serve_panics_total");
-            state.breaker_observe(false);
             SweepOutcome::Failed(ReqError::internal(format!(
                 "run panicked: {}",
                 panic.message
             )))
         }
-        // A deadline expiry is the *client's* budget running out, not
-        // evidence the run path is sick; it does not feed the breaker.
-        Ok(Err(e)) => {
-            if e.code != 408 {
-                state.breaker_observe(false);
-            }
-            SweepOutcome::Failed(e)
-        }
+        Ok(Err(e)) => SweepOutcome::Failed(e),
         Ok(Ok(done)) => {
-            state.breaker_observe(true);
             spans.record(Phase::Queue, done.queue_ns);
             spans.record(Phase::Compute, done.compute_ns);
             spans.record_cycles(Phase::Compute, done.report.cycles);
@@ -2133,7 +2056,6 @@ fn submit_error(e: SubmitError) -> ReqError {
     match e {
         SubmitError::Busy { queue_depth } => ReqError::busy(queue_depth),
         SubmitError::Closed => ReqError::draining(),
-        SubmitError::Unavailable => ReqError::unavailable(),
     }
 }
 
@@ -2158,26 +2080,17 @@ fn status_reply(state: &Arc<State>, trace: u64) -> String {
 }
 
 /// The `health` op: liveness/readiness in one line. `healthy` is the
-/// single bit an orchestrator needs — the daemon is accepting work and
-/// nothing has latched a degraded mode; the rest explains why not.
+/// single bit an orchestrator needs — the daemon is accepting work,
+/// which it does until a drain begins; the rest explains the load.
 fn health_reply(state: &Arc<State>, trace: u64) -> String {
-    let breaker_state = lock(&state.breaker).state(state.now_ms());
-    let breaker_trips = lock(&state.breaker).trips();
-    let gave_up = state.pool.gave_up();
-    let healthy =
-        !state.draining() && !gave_up && breaker_state != powerchop_resilience::BreakerState::Open;
+    let draining = state.draining();
     let mut w = JsonWriter::object();
     w.field_bool("ok", true);
     w.field_str("op", "health");
     w.field_str("trace_id", &format_trace_id(trace));
-    w.field_bool("healthy", healthy);
-    w.field_bool("draining", state.draining());
-    w.field_str("breaker", breaker_state.label());
-    w.field_u64("breaker_trips", breaker_trips);
+    w.field_bool("healthy", !draining);
+    w.field_bool("draining", draining);
     w.field_u64("workers", state.pool.workers() as u64);
-    w.field_u64("workers_alive", state.pool.alive() as u64);
-    w.field_u64("worker_respawns", state.pool.respawns());
-    w.field_bool("pool_gave_up", gave_up);
     w.field_u64("queued", state.pool.queued() as u64);
     w.field_u64("inflight", state.pool.inflight() as u64);
     w.field_u64(

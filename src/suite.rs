@@ -13,10 +13,11 @@
 //! - [`telemetry`] — flight-recorder tracing, metrics and exporters
 //! - [`workloads`] — the synthetic benchmark suites
 //! - [`exec`] — the work-stealing job pool fan-out commands run on
-//! - [`resilience`] — retry, circuit-breaker, restart-tracker and chaos primitives
 //! - [`durable`] — the write-ahead intent journal and persistent result cache
 //! - [`serve`] — the TCP daemon (NDJSON protocol, result cache, backpressure)
-//! - [`cli`] — the command-line interface (argument parsing and commands)
+//! - [`cli`] — the command-line interface: argument parsing, commands,
+//!   and the retry, restart-rate and socket-chaos primitives its
+//!   `supervise`, `serve --supervised` and `soak` commands use
 //!
 //! The paper-figure harness, `powerchop-bench` (`crates/bench`), is a
 //! workspace member of its own and is not re-exported here: run it with
@@ -30,7 +31,6 @@ pub use powerchop_exec as exec;
 pub use powerchop_faults as faults;
 pub use powerchop_gisa as gisa;
 pub use powerchop_power as power;
-pub use powerchop_resilience as resilience;
 pub use powerchop_serve as serve;
 pub use powerchop_telemetry as telemetry;
 pub use powerchop_uarch as uarch;
