@@ -11,8 +11,8 @@
 //! | `rdi/rsi/rdx/rcx` | helper arguments (SysV order)          |
 //!
 //! Guest fp registers live at `[rbx + fp_delta + 8*idx]`. Every
-//! instruction but `jr`/`call`/`ret`/`halt`, a conditional branch in
-//! mid-trace (superblocks) and `fmadd` without host FMA has a template:
+//! instruction but `jr`/`call`/`ret`/`halt` and `fmadd` without host FMA
+//! has a template:
 //!
 //! - ALU, multiply, FP, fused jumps and nops run entirely inline.
 //! - Loads and stores compute `rs + imm` inline and call a narrow helper
@@ -66,7 +66,7 @@ impl RegMap {
     /// instructions; ties broken by lower index) onto r12–r15.
     fn choose(insts: &[Inst], fma: bool) -> RegMap {
         let mut freq = [0u32; 32];
-        for (_, inst) in templated(insts, fma) {
+        for inst in templated(insts, fma) {
             for r in int_regs_of(inst) {
                 freq[r.index()] += 1;
             }
@@ -112,14 +112,13 @@ fn int_regs_of(inst: &Inst) -> Vec<Reg> {
     }
 }
 
-/// Whether `inst` has a template, `last` saying whether it ends the
-/// trace. The criterion is that `CoreModel::on_step(…, Translated)` for
-/// its class is `instructions += 1; slots += k` plus at most one call to
-/// a stateful timing method (`scalar_access`, `branch_outcome`,
-/// `vector_op`) that a narrow helper can make with operands computed
-/// natively, so batched retirement and slot accounting is arithmetically
-/// identical.
-fn has_template(inst: &Inst, last: bool, fma: bool) -> bool {
+/// Whether `inst` has a template. The criterion is that
+/// `CoreModel::on_step(…, Translated)` for its class is
+/// `instructions += 1; slots += k` plus at most one call to a stateful
+/// timing method (`scalar_access`, `branch_outcome`, `vector_op`) that a
+/// narrow helper can make with operands computed natively, so batched
+/// retirement and slot accounting is arithmetically identical.
+fn has_template(inst: &Inst, fma: bool) -> bool {
     match inst {
         Inst::Li { .. }
         | Inst::Addi { .. }
@@ -147,10 +146,10 @@ fn has_template(inst: &Inst, last: bool, fma: bool) -> bool {
         | Inst::Load { .. }
         | Inst::Store { .. }
         | Inst::Nop
-        | Inst::Jmp { .. } => true,
-        // A mid-trace (superblock) branch may side-exit; the slow-step
-        // helper checks its successor against the recorded path.
-        Inst::Branch { .. } => last,
+        | Inst::Jmp { .. }
+        // Always the trace's last instruction: a conditional branch ends
+        // every trace.
+        | Inst::Branch { .. } => true,
         // `f64::mul_add` must stay fused; without FMA hardware the helper
         // runs the interpreter's (software-fused) version.
         Inst::Fmadd { .. } => fma,
@@ -158,13 +157,9 @@ fn has_template(inst: &Inst, last: bool, fma: bool) -> bool {
     }
 }
 
-/// The templated instructions of a trace, with their trace indices.
-fn templated(insts: &[Inst], fma: bool) -> impl Iterator<Item = (usize, &Inst)> {
-    let last = insts.len().wrapping_sub(1);
-    insts
-        .iter()
-        .enumerate()
-        .filter(move |&(i, inst)| has_template(inst, i == last, fma))
+/// The templated instructions of a trace.
+fn templated(insts: &[Inst], fma: bool) -> impl Iterator<Item = &Inst> {
+    insts.iter().filter(move |inst| has_template(inst, fma))
 }
 
 /// Issue slots `on_step(…, Translated)` charges for a native class.
@@ -175,17 +170,14 @@ fn slots_of(class: InstClass) -> u64 {
     }
 }
 
-/// Compiles a trace, or returns `None` when it is ineligible (decode
-/// cache not hydrated, or too little native work to beat the interpreter).
+/// Compiles a trace, or returns `None` when it is ineligible (too little
+/// native work to beat the interpreter, which includes an empty trace).
 pub(super) fn compile_trace(
     trace: &[Pc],
     insts: &[Inst],
     fp_delta: i32,
     fma: bool,
 ) -> Option<Vec<u8>> {
-    if trace.is_empty() || insts.len() != trace.len() {
-        return None;
-    }
     if templated(insts, fma).count() < MIN_NATIVE {
         return None;
     }
@@ -225,7 +217,7 @@ pub(super) fn compile_trace(
 
     let last = insts.len() - 1;
     for (i, inst) in insts.iter().enumerate() {
-        if has_template(inst, i == last, fma) {
+        if has_template(inst, fma) {
             emit_template(&mut asm, inst, i, trace[i], &map, &fp);
             pending_insts += 1;
             pending_slots += slots_of(inst.class()) as u32;
@@ -248,7 +240,7 @@ pub(super) fn compile_trace(
     // a branch's helper already recorded the one it resolved. (A trace
     // ending on a slow-step instruction always exits through the helper,
     // which leaves the interpreter-updated PC in place.)
-    if has_template(&insts[last], true, fma) {
+    if has_template(&insts[last], fma) {
         flush(&mut asm, &map, &mut pending_insts, &mut pending_slots);
         let final_pc = match insts[last] {
             Inst::Jmp { target } => Some(target.0),

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc};
 use powerchop_uarch::core::CoreModel;
 
-use super::JitRunOutcome;
 use crate::region_cache::TranslationId;
 
 pub(super) const SUPPORTED: bool = true;
@@ -30,8 +29,9 @@ pub(super) enum CompileOutcome {
 /// Outcome of a single-lookup dispatch attempt (the hot path runs one
 /// indexed load, not a residency check followed by a second lookup).
 pub(super) enum RunAttempt {
-    /// Native code ran to completion (or faulted); here is its result.
-    Ran(Result<JitRunOutcome, GisaError>),
+    /// Native code ran to completion (or faulted); here is the count of
+    /// guest instructions it executed.
+    Ran(Result<u64, GisaError>),
     /// The trace is memoized as not compilable; interpret it.
     Ineligible,
     /// Never seen; the caller may compile on demand and retry.

@@ -43,30 +43,26 @@
 //! - **None of the narrow helpers can fail**: memory is sparse and total,
 //!   and the timing model has no error path. Native code checks no
 //!   status after them; only `slow_step` can end a trace early.
-//! - **Slow-step instructions** (`jr`, `call`, `ret`, `halt`, mid-trace
-//!   superblock branches, `fmadd` without FMA) run
-//!   [`Cpu::step_prefetched`] and [`CoreModel::on_step`] — literally the
-//!   interpreter's code path — on the in-memory register file, which
-//!   native code flushes first.
+//! - **Slow-step instructions** (`jr`, `call`, `ret`, `halt`, `fmadd`
+//!   without FMA) run [`Cpu::step_prefetched`] and
+//!   [`CoreModel::on_step`] — literally the interpreter's code path — on
+//!   the in-memory register file, which native code flushes first.
 //! - **The PC** is only ever written with values the interpreter would
 //!   have produced: `slow_step` sets `pc = trace[i]` before stepping
-//!   (templated predecessors cannot diverge — a trace-final branch ends
-//!   the trace, and every other templated successor is statically the
-//!   next trace element), a trace-final branch's helper records the
-//!   successor it resolved, and any other templated trace tail records
-//!   its statically-known successor.
+//!   (no predecessor can diverge — every control transfer but a forward
+//!   `jmp`, whose target is the next trace element, ends the trace), a
+//!   trace-final branch's helper records the successor it resolved, and
+//!   any other templated trace tail records its statically-known
+//!   successor.
 //! - **Exits** mirror the interpreter loop exactly: error ⇒ propagate
 //!   after applying pending accounting (`BtStats` untouched, matching the
-//!   `?` in `execute_translation`); halt ⇒ stop; PC divergence from the
-//!   recorded path ⇒ side exit; end of trace ⇒ normal exit.
+//!   `?` in `Machine::step`); halt or end of trace ⇒ normal exit.
 #![allow(unsafe_code)]
 
 use std::sync::Arc;
 
 use powerchop_gisa::{Cpu, GisaError, Inst, MemAccess, Memory, Pc};
 use powerchop_uarch::core::{CoreModel, ExecMode};
-
-use super::super::JitRunOutcome;
 
 /// The POD context shared with generated code. Only the leading fields
 /// (whose offsets are exported below) are touched by native code; the
@@ -89,8 +85,6 @@ pub(crate) struct JitCtx {
     /// PC to install when `pc_valid` — set by templated trace tails.
     final_pc: u32,
     pc_valid: u8,
-    /// Set by the helper when control flow left the recorded path.
-    side_exit: u8,
     // ---- host-side fields (never read by generated code) ----
     cpu: *mut Cpu,
     mem: *mut Memory,
@@ -147,7 +141,7 @@ impl CompiledTrace {
 
 /// `slow_step`: executes one instruction the templates don't cover, via
 /// the exact interpreter step. Returns 0 to continue the trace, nonzero
-/// to exit.
+/// to exit (an error, a halt, or the trace's last instruction).
 unsafe extern "C" fn slow_step(ctx: *mut JitCtx, idx: u32) -> u32 {
     let ctx = unsafe { &mut *ctx };
     let cpu = unsafe { &mut *ctx.cpu };
@@ -156,8 +150,8 @@ unsafe extern "C" fn slow_step(ctx: *mut JitCtx, idx: u32) -> u32 {
     let i = idx as usize;
     debug_assert!(i < ctx.len as usize);
     // Native predecessors don't materialize the PC; architecturally it is
-    // exactly this trace element (their successors are statically the
-    // next element, and every helper verifies its own successor).
+    // exactly this trace element (every successor inside a trace is
+    // statically the next element).
     let expected = unsafe { *ctx.trace.add(i) };
     cpu.jit_set_pc(expected);
     let inst = unsafe { *ctx.insts.add(i) };
@@ -172,10 +166,9 @@ unsafe extern "C" fn slow_step(ctx: *mut JitCtx, idx: u32) -> u32 {
             if next == ctx.len as usize {
                 return 1;
             }
-            if cpu.pc() != unsafe { *ctx.trace.add(next) } {
-                ctx.side_exit = 1;
-                return 1;
-            }
+            // SAFETY: `next < len` (checked just above), and `trace`
+            // holds the compiled trace's `len` PCs.
+            debug_assert_eq!(cpu.pc(), unsafe { *ctx.trace.add(next) });
             0
         }
         Err(e) => {
@@ -255,7 +248,7 @@ pub(super) fn run_compiled(
     cpu: &mut Cpu,
     mem: &mut Memory,
     core: &mut CoreModel,
-) -> Result<JitRunOutcome, GisaError> {
+) -> Result<u64, GisaError> {
     let (int_base, fp_delta) = cpu.jit_reg_layout();
     debug_assert_eq!(fp_delta, Cpu::jit_fp_delta());
     let mut ctx = JitCtx {
@@ -269,7 +262,6 @@ pub(super) fn run_compiled(
         native_slots: 0,
         final_pc: 0,
         pc_valid: 0,
-        side_exit: 0,
         cpu,
         mem,
         core: core as *mut CoreModel,
@@ -289,8 +281,5 @@ pub(super) fn run_compiled(
     if ctx.pc_valid != 0 {
         cpu.jit_set_pc(Pc(ctx.final_pc));
     }
-    Ok(JitRunOutcome {
-        executed: native + ctx.helper_steps,
-        side_exit: ctx.side_exit != 0,
-    })
+    Ok(native + ctx.helper_steps)
 }

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc};
 use powerchop_uarch::core::CoreModel;
 
-use super::JitRunOutcome;
 use crate::region_cache::TranslationId;
 
 pub(super) const SUPPORTED: bool = false;
@@ -23,7 +22,7 @@ pub(super) enum CompileOutcome {
 
 pub(super) enum RunAttempt {
     #[allow(dead_code)]
-    Ran(Result<JitRunOutcome, GisaError>),
+    Ran(Result<u64, GisaError>),
     #[allow(dead_code)]
     Ineligible,
     Unknown,

@@ -5,15 +5,14 @@
 //! [`Translation`]s are compiled to x86-64 machine code at install time (or
 //! on demand after a checkpoint restore) and executed through an
 //! `extern "C"` trampoline over the guest CPU's register file. Every
-//! instruction except `jr`/`call`/`ret`/`halt`, a mid-trace superblock
-//! branch and `fmadd` without host FMA has a native template. ALU, FP and
-//! jump templates run entirely inline. Loads, stores, the trace-final
-//! conditional branch and the seven vector ops compute their operands
-//! natively and call one narrow helper each for the work that is
-//! genuinely stateful: guest memory plus the modelled caches, the
-//! predictor plus the successor PC, or the vector lanes plus the VPU
-//! charge — the same `CoreModel`/`Cpu` methods the interpreter's step
-//! calls. The few remaining instructions run the *exact interpreter step*
+//! instruction except `jr`/`call`/`ret`/`halt` and `fmadd` without host
+//! FMA has a native template. ALU, FP and jump templates run entirely
+//! inline. Loads, stores, the trace-final conditional branch and the
+//! seven vector ops compute their operands natively and call one narrow
+//! helper each for the work that is genuinely stateful: guest memory
+//! plus the modelled caches, the predictor plus the successor PC, or the
+//! vector lanes plus the VPU charge — the same `CoreModel`/`Cpu` methods
+//! the interpreter's step calls. The few remaining instructions run the *exact interpreter step*
 //! through a slow-step helper. JIT-on and JIT-off runs are therefore
 //! bit-identical: same retired counts, same uarch/power accounting, same
 //! artifacts.
@@ -113,7 +112,7 @@ pub struct JitStats {
     /// Translation dispatches that executed native code.
     pub exec_hits: u64,
     /// Translation dispatches that fell back to the interpreter
-    /// (ineligible trace, failed compile, or unhydrated decode cache).
+    /// (ineligible trace or failed compile).
     pub fallbacks: u64,
     /// Total native code bytes emitted.
     pub code_bytes: u64,
@@ -140,18 +139,6 @@ impl powerchop_telemetry::MetricSource for JitReport {
         reg.counter_set("jit_fallbacks", self.stats.fallbacks);
         reg.counter_set("jit_code_bytes", self.stats.code_bytes);
     }
-}
-
-/// What one trace execution did, native or interpreted, in the units the
-/// dispatch loop accounts: guest instructions executed and whether
-/// control flow left the recorded path early.
-#[derive(Debug, Clone, Copy)]
-pub struct JitRunOutcome {
-    /// Guest instructions executed (templated + slow steps), equal to the
-    /// interpreter loop's `executed` count for the same dispatch.
-    pub executed: u64,
-    /// Whether the trace side-exited.
-    pub side_exit: bool,
 }
 
 /// The per-machine JIT: a code cache indexed by [`TranslationId`] (the
@@ -254,7 +241,9 @@ impl JitEngine {
     }
 
     /// Dispatch hook: runs `t` natively if possible, compiling on demand
-    /// (covers checkpoint restore and cloned machines). Returns `None`
+    /// (covers checkpoint restore and cloned machines), and returns the
+    /// guest instructions executed (templated + slow steps), equal to the
+    /// interpreter loop's count for the same dispatch. Returns `None`
     /// when the caller must fall back to the interpreter loop.
     ///
     /// This, `NativeEngine::try_run` and `run_compiled` are `#[inline]`
@@ -269,7 +258,7 @@ impl JitEngine {
         cpu: &mut Cpu,
         mem: &mut Memory,
         core: &mut CoreModel,
-    ) -> Option<Result<JitRunOutcome, GisaError>> {
+    ) -> Option<Result<u64, GisaError>> {
         if !self.is_active() {
             return None;
         }

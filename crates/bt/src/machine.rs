@@ -1,7 +1,7 @@
-use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Pc, Program};
+use powerchop_gisa::{Cpu, GisaError, Inst, Memory, Program};
 use powerchop_uarch::core::{CoreModel, ExecMode};
 
-use crate::jit::{JitEngine, JitMode, JitReport, JitRunOutcome, JitStats};
+use crate::jit::{JitEngine, JitMode, JitReport, JitStats};
 use crate::region_cache::{RegionCache, TranslationId};
 use crate::translator;
 
@@ -17,11 +17,6 @@ pub struct BtConfig {
     /// One-time translation cost, in cycles per translated guest
     /// instruction (charged as a stall when the translator runs).
     pub translate_cycles_per_inst: u64,
-    /// Form superblock traces through strongly-biased conditional
-    /// branches, using the branch statistics the interpreter collects
-    /// (Transmeta-style speculative trace formation). Mis-speculation
-    /// side-exits at run time.
-    pub superblocks: bool,
 }
 
 impl Default for BtConfig {
@@ -31,7 +26,6 @@ impl Default for BtConfig {
             max_trace_len: 64,
             region_cache_capacity: 4096,
             translate_cycles_per_inst: 1500,
-            superblocks: false,
         }
     }
 }
@@ -48,7 +42,9 @@ pub struct BtStats {
     /// Translation executions (region-cache dispatches that hit).
     pub translation_executions: u64,
     /// Translation executions that left the trace early because control
-    /// flow diverged from the recorded path.
+    /// flow diverged from the recorded path. Always 0: every trace ends at
+    /// its first conditional branch, so control flow cannot leave it
+    /// early. Kept because run reports, metrics and snapshots carry it.
     pub side_exits: u64,
     /// Context switches observed (profiling state flushed each time).
     pub context_switches: u64,
@@ -126,9 +122,6 @@ pub struct Machine<'p> {
     /// map the interpreter used to hit on every block head). Zero means
     /// "not counted", matching the old map's absent entries.
     hotness: Vec<u32>,
-    /// Per-branch (taken, total) counts collected by the interpreter,
-    /// directly indexed by PC like `hotness`.
-    branch_bias: Vec<(u32, u32)>,
     config: BtConfig,
     at_block_head: bool,
     stats: BtStats,
@@ -154,7 +147,6 @@ impl<'p> Machine<'p> {
             mem,
             region_cache: RegionCache::new(config.region_cache_capacity, program.len()),
             hotness: vec![0; program.len()],
-            branch_bias: vec![(0, 0); program.len()],
             config,
             at_block_head: true,
             stats: BtStats::default(),
@@ -249,31 +241,21 @@ impl<'p> Machine<'p> {
         if let Some(translation) = self.region_cache.get(head_id) {
             // Guest faults propagate before stats are touched, on the
             // native and the interpreted path alike.
-            let outcome = match self
+            let executed = match self
                 .jit
                 .execute(translation, &mut self.cpu, &mut self.mem, core)
             {
                 Some(native) => native?,
-                None => run_trace(
-                    self.program,
-                    translation.trace(),
-                    translation.insts(),
-                    &mut self.cpu,
-                    &mut self.mem,
-                    core,
-                )?,
+                None => run_trace(translation.insts(), &mut self.cpu, &mut self.mem, core)?,
             };
             self.stats.translation_executions += 1;
-            self.stats.translated_instructions += outcome.executed;
-            if outcome.side_exit {
-                self.stats.side_exits += 1;
-            }
+            self.stats.translated_instructions += executed;
             // A translation exit is a dispatch point: the next PC is a
             // block head for hotness purposes.
             self.at_block_head = true;
             return Ok(MachineEvent::Translation {
                 id: head_id,
-                instructions: outcome.executed,
+                instructions: executed,
             });
         }
 
@@ -289,31 +271,8 @@ impl<'p> Machine<'p> {
                 .unwrap_or(0);
             if count >= self.config.hot_threshold && count > 0 {
                 self.hotness[pc.0 as usize] = 0;
-                let built = if self.config.superblocks {
-                    let bias = &self.branch_bias;
-                    translator::translate_with_bias(
-                        self.program,
-                        pc,
-                        self.config.max_trace_len,
-                        |branch_pc| {
-                            let (taken, total) = bias.get(branch_pc.0 as usize)?;
-                            if *total < 8 {
-                                return None;
-                            }
-                            let rate = f64::from(*taken) / f64::from(*total);
-                            if rate >= 0.9 {
-                                Some(true)
-                            } else if rate <= 0.1 {
-                                Some(false)
-                            } else {
-                                None
-                            }
-                        },
-                    )
-                } else {
-                    translator::translate(self.program, pc, self.config.max_trace_len)
-                };
-                if let Some(t) = built {
+                if let Some(t) = translator::translate(self.program, pc, self.config.max_trace_len)
+                {
                     let id = t.id();
                     let guest_len = t.len();
                     core.add_stall(self.config.translate_cycles_per_inst * guest_len as u64);
@@ -327,12 +286,6 @@ impl<'p> Machine<'p> {
         let info = self.cpu.step(self.program, &mut self.mem)?;
         core.on_step(&info, ExecMode::Interpreted);
         self.stats.interpreted_instructions += 1;
-        if let Some(branch) = info.branch {
-            if let Some((taken, total)) = self.branch_bias.get_mut(info.pc.0 as usize) {
-                *taken += u32::from(branch.taken);
-                *total += 1;
-            }
-        }
         self.at_block_head = info.inst.ends_block();
         Ok(MachineEvent::Interpreted)
     }
@@ -347,19 +300,17 @@ impl<'p> Machine<'p> {
     }
 
     /// Serializes the complete machine state: guest CPU and memory, the
-    /// region cache, interpreter profiling state (hotness counters and
-    /// branch-bias history, encoded as nonzero entries in PC order), and
-    /// BT statistics. The program itself is not serialized — only its
-    /// fingerprint, which restore verifies. The decoded-instruction
-    /// caches are derived state and are rebuilt on restore.
+    /// region cache's resident heads, interpreter hotness counters
+    /// (encoded as nonzero entries in PC order), and BT statistics. The
+    /// program itself is not serialized — only its fingerprint, which
+    /// restore verifies. Translations are derived state and are rebuilt
+    /// from their heads on restore.
     pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
         w.put_u64(self.program.fingerprint());
         self.cpu.snapshot_to(w);
         self.mem.snapshot_to(w);
         self.region_cache.snapshot_to(w);
-        // Flat tables serialize as their nonzero entries in PC order —
-        // byte-identical to the sorted encoding of the hash maps they
-        // replaced (absent map entries are zero table entries).
+        // The flat table serializes as its nonzero entries in PC order.
         let hot: Vec<(u32, u32)> = self
             .hotness
             .iter()
@@ -371,19 +322,6 @@ impl<'p> Machine<'p> {
         for (pc, count) in hot {
             w.put_u32(pc);
             w.put_u32(count);
-        }
-        let bias: Vec<(u32, (u32, u32))> = self
-            .branch_bias
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, total))| *total > 0)
-            .map(|(pc, counts)| (pc as u32, *counts))
-            .collect();
-        w.put_usize(bias.len());
-        for (pc, (taken, total)) in bias {
-            w.put_u32(pc);
-            w.put_u32(taken);
-            w.put_u32(total);
         }
         w.put_bool(self.at_block_head);
         for v in [
@@ -419,10 +357,8 @@ impl<'p> Machine<'p> {
         }
         self.cpu.restore_from(r)?;
         self.mem.restore_from(r)?;
-        self.region_cache.restore_from(r)?;
-        // Snapshots carry trace PCs but not decoded instructions; rebuild
-        // the decode cache from the restored region cache.
-        self.region_cache.rehydrate(self.program);
+        self.region_cache
+            .restore_from(r, self.program, self.config.max_trace_len)?;
         // Native code is never snapshotted; drop any compiled traces and
         // let the restored translations recompile on demand.
         self.jit.clear();
@@ -433,16 +369,6 @@ impl<'p> Machine<'p> {
             let count = r.take_u32()?;
             if let Some(slot) = self.hotness.get_mut(pc as usize) {
                 *slot = count;
-            }
-        }
-        let bias_count = r.take_usize()?;
-        self.branch_bias.fill((0, 0));
-        for _ in 0..bias_count {
-            let pc = r.take_u32()?;
-            let taken = r.take_u32()?;
-            let total = r.take_u32()?;
-            if let Some(slot) = self.branch_bias.get_mut(pc as usize) {
-                *slot = (taken, total);
             }
         }
         self.at_block_head = r.take_bool()?;
@@ -458,13 +384,12 @@ impl<'p> Machine<'p> {
 
     /// Fault hook: a context switch. The guest's architectural state is
     /// saved and restored by the OS, but the BT layer's warm profiling
-    /// state — interpreter hotness counters and branch-bias history —
-    /// belongs to the time slice and is flushed, so hot regions must
-    /// re-prove themselves. Installed translations survive (the region
-    /// cache is per-process software state).
+    /// state — the interpreter's hotness counters — belongs to the time
+    /// slice and is flushed, so hot regions must re-prove themselves.
+    /// Installed translations survive (the region cache is per-process
+    /// software state).
     pub fn on_context_switch(&mut self) {
         self.hotness.fill(0);
-        self.branch_bias.fill((0, 0));
         self.at_block_head = true;
         self.stats.context_switches += 1;
     }
@@ -504,40 +429,20 @@ impl<'p> Machine<'p> {
     }
 }
 
-/// Runs a translation's trace through the interpreter step. `insts` is
-/// the decoded-instruction cache (trace-length when hydrated, empty right
-/// after a restore, in which case each step falls back to fetching).
+/// Runs a translation's decoded instructions through the interpreter
+/// step and returns how many executed. Control flow cannot leave a trace
+/// early: only its last instruction may branch, jump away or halt.
 fn run_trace(
-    program: &Program,
-    trace: &[Pc],
     insts: &[Inst],
     cpu: &mut Cpu,
     mem: &mut Memory,
     core: &mut CoreModel,
-) -> Result<JitRunOutcome, GisaError> {
-    let mut executed = 0u64;
-    let mut side_exit = false;
-    let decoded = insts.len() == trace.len();
-    for (i, expected) in trace.iter().enumerate() {
-        if cpu.pc() != *expected {
-            side_exit = true;
-            break;
-        }
-        let info = if decoded {
-            cpu.step_prefetched(insts[i], mem)?
-        } else {
-            cpu.step(program, mem)?
-        };
+) -> Result<u64, GisaError> {
+    for inst in insts {
+        let info = cpu.step_prefetched(*inst, mem)?;
         core.on_step(&info, ExecMode::Translated);
-        executed += 1;
-        if cpu.halted() {
-            break;
-        }
     }
-    Ok(JitRunOutcome {
-        executed,
-        side_exit,
-    })
+    Ok(insts.len() as u64)
 }
 
 #[cfg(test)]
@@ -685,53 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn superblocks_form_longer_traces_and_side_exit_on_misspeculation() {
-        // A loop with a 15-of-16-biased forward branch: superblocks trace
-        // through it, so the rare direction side-exits.
-        let mut b = ProgramBuilder::new("superblock");
-        b.li(r(0), 0).li(r(1), 30_000).li(r(2), 16).li(r(3), 15);
-        let top = b.bind_label();
-        let rare = b.label();
-        let join = b.label();
-        b.rem(r(4), r(0), r(2));
-        b.beq(r(4), r(3), rare); // taken 1/16 of iterations
-        b.addi(r(5), r(5), 1);
-        b.jmp(join);
-        b.bind(rare).unwrap();
-        b.addi(r(6), r(6), 1);
-        b.bind(join).unwrap();
-        b.addi(r(0), r(0), 1);
-        b.blt(r(0), r(1), top);
-        b.halt();
-        let p = b.build().expect("test program is well-formed");
-
-        let run = |superblocks: bool| {
-            let mut core = new_core();
-            let mut m = Machine::new(
-                &p,
-                BtConfig {
-                    superblocks,
-                    ..BtConfig::default()
-                },
-            );
-            m.run(&mut core, u64::MAX).unwrap();
-            assert_eq!(m.cpu().int_reg(r(6)), 30_000 / 16, "semantics preserved");
-            m.stats()
-        };
-        let plain = run(false);
-        let superblock = run(true);
-        assert!(
-            superblock.translation_executions < plain.translation_executions,
-            "longer traces mean fewer dispatches: {} vs {}",
-            superblock.translation_executions,
-            plain.translation_executions
-        );
-        assert!(superblock.side_exits > 0, "rare direction must side-exit");
-        // Roughly 1 side exit per 16 iterations.
-        assert!(superblock.side_exits as i64 >= 30_000 / 16 - 16);
-    }
-
-    #[test]
     fn context_switch_flushes_profiling_but_preserves_semantics() {
         let p = loop_program(10_000);
         let mut core = new_core();
@@ -783,12 +641,9 @@ mod tests {
         w.put_u64(p.fingerprint());
         Cpu::new(&p).snapshot_to(&mut w);
         Memory::new().snapshot_to(&mut w);
-        // A region cache naming one translation, headed past the end.
+        // A region cache naming one head, past the end.
         w.put_usize(1);
         w.put_u32(p.len() as u32);
-        w.put_u32(p.len() as u32);
-        w.put_usize(0);
-        w.put_bool(false);
         let bytes = w.into_bytes();
         let mut m = Machine::new(&p, BtConfig::default());
         assert!(matches!(
@@ -798,36 +653,56 @@ mod tests {
     }
 
     #[test]
-    fn side_exits_are_counted() {
-        // A branch that is taken during warm-up (so the trace records the
-        // fall-through... actually records up to the branch) — build a
-        // two-sided branch whose direction flips after translation.
-        let mut b = ProgramBuilder::new("flip");
-        // r0 counts iterations; r1 = 50_000 limit; r3 selects a path every
-        // other iteration.
-        let top_l;
-        {
-            b.li(r(0), 0).li(r(1), 50_000);
-            top_l = b.bind_label();
-            let odd = b.label();
-            let join = b.label();
-            b.rem(r(3), r(0), r(2)); // r2 = 0 -> rem = 0 always; keep simple
-            b.bne(r(3), r(4), odd); // never taken (both 0) — till r4 changes
-            b.addi(r(5), r(5), 1);
-            b.jmp(join);
-            b.bind(odd).unwrap();
-            b.addi(r(6), r(6), 1);
-            b.bind(join).unwrap();
-            b.addi(r(0), r(0), 1);
-            b.blt(r(0), r(1), top_l);
-            b.halt();
-        }
+    fn snapshots_store_heads_and_restore_rebuilds_identical_translations() {
+        // Two loops, the first with a forward branch, so a short trace
+        // limit leaves several hot regions resident.
+        let mut b = ProgramBuilder::new("regions");
+        b.li(r(0), 0).li(r(1), 2_000).li(r(2), 3);
+        let first = b.bind_label();
+        let skip = b.label();
+        b.rem(r(4), r(0), r(2));
+        b.beq(r(4), r(3), skip);
+        b.addi(r(5), r(5), 1);
+        b.bind(skip).unwrap();
+        b.addi(r(0), r(0), 1);
+        b.blt(r(0), r(1), first);
+        b.li(r(0), 0);
+        let second = b.bind_label();
+        b.addi(r(6), r(6), 2);
+        b.addi(r(0), r(0), 1);
+        b.blt(r(0), r(1), second);
+        b.halt();
         let p = b.build().expect("test program is well-formed");
+        let cfg = BtConfig {
+            max_trace_len: 2,
+            ..BtConfig::default()
+        };
+
         let mut core = new_core();
-        let mut m = Machine::new(&p, BtConfig::default());
+        let mut m = Machine::new(&p, cfg);
+        m.run(&mut core, 12_000).unwrap();
+        assert!(!m.halted(), "the snapshot is taken partway");
+        assert!(m.region_cache().len() >= 4, "several hot regions");
+        let mut w = powerchop_checkpoint::ByteWriter::new();
+        m.snapshot_to(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Machine::new(&p, cfg);
+        restored
+            .restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes))
+            .unwrap();
+
+        let heads = |m: &Machine<'_>| m.region_cache().iter().map(|t| t.id()).collect::<Vec<_>>();
+        assert_eq!(heads(&restored), heads(&m), "install order survives");
+        for t in restored.region_cache().iter() {
+            let rebuilt = translator::translate(&p, t.head(), cfg.max_trace_len).unwrap();
+            assert_eq!(t, &rebuilt);
+            assert_eq!(t.insts(), rebuilt.insts(), "decoded instructions too");
+        }
+        // Both runs finish in the same architectural state.
+        let mut restored_core = core.clone();
         m.run(&mut core, u64::MAX).unwrap();
-        // All iterations take the same path here; side exits may be zero.
-        // The counter must never exceed executions.
-        assert!(m.stats().side_exits <= m.stats().translation_executions);
+        restored.run(&mut restored_core, u64::MAX).unwrap();
+        assert_eq!(restored.cpu(), m.cpu());
+        assert_eq!(restored.stats(), m.stats());
     }
 }

@@ -8,7 +8,9 @@
 //! table with one slot per program instruction: a dispatch is one indexed
 //! load, not a hash probe.
 
-use crate::translator::Translation;
+use powerchop_gisa::{Pc, Program};
+
+use crate::translator::{translate, Translation};
 
 /// A translation's unique identifier: the low 32 bits of its head PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,17 +107,6 @@ impl RegionCache {
         self.install_order.iter().filter_map(|id| self.get(*id))
     }
 
-    /// Rebuilds every resident translation's decoded-instruction cache
-    /// from `program`. Called after a snapshot restore, which carries
-    /// trace PCs but not decoded instructions.
-    pub fn rehydrate(&mut self, program: &powerchop_gisa::Program) {
-        for id in &self.install_order {
-            if let Some(Some(t)) = self.slots.get_mut(id.0 as usize) {
-                t.rehydrate(program);
-            }
-        }
-    }
-
     /// Fault hook: drops roughly `fraction` of resident translations,
     /// selected deterministically from `selector` (models an
     /// invalidation storm — self-modifying code detection, a page
@@ -164,23 +155,21 @@ impl RegionCache {
         }
     }
 
-    /// Serializes the cache contents in install order (the order is
+    /// Serializes the resident heads in install order (the order is
     /// semantically meaningful — it determines future evictions — so it is
-    /// written verbatim rather than sorted). Capacity is config-derived
-    /// and not written.
+    /// written verbatim rather than sorted). A translation is a pure
+    /// function of its program, head and trace-length limit, so bodies
+    /// are not written: restore rebuilds them. Capacity is config-derived
+    /// and not written either.
     pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
         w.put_usize(self.install_order.len());
         for id in &self.install_order {
-            match self.get(*id) {
-                Some(t) => t.snapshot_to(w),
-                // install_order and the slots are kept in lock step;
-                // encode a missing body defensively as an empty trace.
-                None => Translation::empty_for(*id).snapshot_to(w),
-            }
+            w.put_u32(id.0);
         }
     }
 
-    /// Restores contents written by [`RegionCache::snapshot_to`] in place.
+    /// Restores contents written by [`RegionCache::snapshot_to`] in place,
+    /// rebuilding each translation from `program` with `max_trace_len`.
     ///
     /// # Errors
     ///
@@ -191,6 +180,8 @@ impl RegionCache {
     pub fn restore_from(
         &mut self,
         r: &mut powerchop_checkpoint::ByteReader<'_>,
+        program: &Program,
+        max_trace_len: usize,
     ) -> Result<(), powerchop_checkpoint::CheckpointError> {
         let count = r.take_usize()?;
         if count > self.capacity {
@@ -200,9 +191,11 @@ impl RegionCache {
         }
         self.clear();
         for _ in 0..count {
-            let t = Translation::restore_from(r)?;
-            let id = t.id();
-            let Some(slot) = self.slots.get_mut(id.0 as usize) else {
+            let head = Pc(r.take_u32()?);
+            let (Some(slot), Some(t)) = (
+                self.slots.get_mut(head.0 as usize),
+                translate(program, head, max_trace_len),
+            ) else {
                 return Err(powerchop_checkpoint::CheckpointError::Malformed {
                     what: "region cache translation head lies outside the program",
                 });
@@ -213,7 +206,7 @@ impl RegionCache {
                 });
             }
             *slot = Some(t);
-            self.install_order.push(id);
+            self.install_order.push(TranslationId(head.0));
         }
         Ok(())
     }
@@ -222,8 +215,8 @@ impl RegionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::translator::translate;
-    use powerchop_gisa::{Pc, ProgramBuilder};
+    use powerchop_checkpoint::{ByteReader, ByteWriter, CheckpointError};
+    use powerchop_gisa::ProgramBuilder;
 
     fn program_with_nops(n: usize) -> powerchop_gisa::Program {
         let mut b = ProgramBuilder::new("nops");
@@ -325,40 +318,50 @@ mod tests {
         let p = program_with_nops(64);
         let mut rc = RegionCache::new(8, p.len());
         rc.install(translate(&p, Pc(40), 2).unwrap());
-        let mut w = powerchop_checkpoint::ByteWriter::new();
+        let mut w = ByteWriter::new();
         rc.snapshot_to(&mut w);
         let bytes = w.into_bytes();
-        // The same cache restores its own snapshot...
+        // The same cache restores its own snapshot, rebuilding the
+        // translation exactly, decoded instructions included...
         let mut same = RegionCache::new(8, p.len());
         assert!(same
-            .restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes))
+            .restore_from(&mut ByteReader::new(&bytes), &p, 2)
             .is_ok());
-        assert!(same.get(TranslationId(40)).is_some());
+        let (original, restored) = (rc.get(TranslationId(40)), same.get(TranslationId(40)));
+        assert_eq!(restored, original);
+        assert_eq!(
+            restored.map(Translation::insts),
+            original.map(Translation::insts)
+        );
         // ...but head 40 lies past the end of a 16-instruction program.
-        let mut short = RegionCache::new(8, 16);
+        let short_program = program_with_nops(15);
+        let mut short = RegionCache::new(8, short_program.len());
         assert!(matches!(
-            short.restore_from(&mut powerchop_checkpoint::ByteReader::new(&bytes)),
-            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+            short.restore_from(&mut ByteReader::new(&bytes), &short_program, 2),
+            Err(CheckpointError::Malformed { .. })
         ));
         // A huge head is refused without sizing anything by it.
-        let mut w = powerchop_checkpoint::ByteWriter::new();
-        w.put_usize(2);
-        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
-        Translation::empty_for(TranslationId(u32::MAX)).snapshot_to(&mut w);
-        let wild = w.into_bytes();
+        let heads = |heads: &[u32]| {
+            let mut w = ByteWriter::new();
+            w.put_usize(heads.len());
+            for head in heads {
+                w.put_u32(*head);
+            }
+            w.into_bytes()
+        };
         assert!(matches!(
-            same.restore_from(&mut powerchop_checkpoint::ByteReader::new(&wild)),
-            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+            same.restore_from(&mut ByteReader::new(&heads(&[3, u32::MAX])), &p, 2),
+            Err(CheckpointError::Malformed { .. })
         ));
-        // One head named twice is malformed too.
-        let mut w = powerchop_checkpoint::ByteWriter::new();
-        w.put_usize(2);
-        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
-        Translation::empty_for(TranslationId(3)).snapshot_to(&mut w);
-        let twice = w.into_bytes();
+        // One head named twice is malformed too, as is a count above
+        // the cache's capacity.
         assert!(matches!(
-            same.restore_from(&mut powerchop_checkpoint::ByteReader::new(&twice)),
-            Err(powerchop_checkpoint::CheckpointError::Malformed { .. })
+            same.restore_from(&mut ByteReader::new(&heads(&[3, 3])), &p, 2),
+            Err(CheckpointError::Malformed { .. })
+        ));
+        assert!(matches!(
+            same.restore_from(&mut ByteReader::new(&heads(&[0; 9])), &p, 2),
+            Err(CheckpointError::Malformed { .. })
         ));
     }
 

@@ -26,9 +26,7 @@ pub struct Translation {
     head: Pc,
     trace: std::sync::Arc<[Pc]>,
     /// Decoded instructions for each trace PC, so hot blocks skip the
-    /// per-step fetch. Derived from `trace` + the program: empty when not
-    /// yet hydrated (e.g. right after a snapshot restore), in which case
-    /// execution falls back to fetching. Never serialized.
+    /// per-step fetch. Derived from `trace` + the program.
     insts: std::sync::Arc<[Inst]>,
     has_vector: bool,
 }
@@ -63,9 +61,7 @@ impl Translation {
         &self.trace
     }
 
-    /// The decoded instruction of each trace PC. Empty (rather than
-    /// trace-length) when the translation has not been hydrated against
-    /// its program, e.g. straight after a snapshot restore.
+    /// The decoded instruction of each trace PC.
     #[must_use]
     pub fn insts(&self) -> &[Inst] {
         &self.insts
@@ -75,19 +71,6 @@ impl Translation {
     /// alongside the code it compiles from them.
     pub(crate) fn shared(&self) -> (&std::sync::Arc<[Pc]>, &std::sync::Arc<[Inst]>) {
         (&self.trace, &self.insts)
-    }
-
-    /// Rebuilds the decoded-instruction cache from `program`. Leaves the
-    /// cache empty if any trace PC is out of range (a corrupt snapshot);
-    /// execution then falls back to the fetching path, which reports the
-    /// fault properly.
-    pub(crate) fn rehydrate(&mut self, program: &Program) {
-        let decoded: Option<Vec<Inst>> = self
-            .trace
-            .iter()
-            .map(|pc| program.inst(*pc).copied())
-            .collect();
-        self.insts = decoded.map_or_else(|| std::sync::Arc::from(Vec::new()), std::sync::Arc::from);
     }
 
     /// Number of guest instructions in the trace.
@@ -108,88 +91,20 @@ impl Translation {
     pub fn has_vector(&self) -> bool {
         self.has_vector
     }
-
-    /// A placeholder translation with an empty trace, used by the region
-    /// cache to keep its serialized install order self-consistent.
-    pub(crate) fn empty_for(id: TranslationId) -> Self {
-        Translation {
-            id,
-            head: Pc(id.0),
-            trace: std::sync::Arc::from(Vec::new()),
-            insts: std::sync::Arc::from(Vec::new()),
-            has_vector: false,
-        }
-    }
-
-    /// Serializes the translation body. Traces are written verbatim (not
-    /// re-translated on restore) because superblock formation depends on
-    /// branch-bias statistics at translation time.
-    pub fn snapshot_to(&self, w: &mut powerchop_checkpoint::ByteWriter) {
-        w.put_u32(self.id.0);
-        w.put_u32(self.head.0);
-        w.put_usize(self.trace.len());
-        for pc in self.trace.iter() {
-            w.put_u32(pc.0);
-        }
-        w.put_bool(self.has_vector);
-    }
-
-    /// Reads a translation written by [`Translation::snapshot_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`powerchop_checkpoint::CheckpointError`] when the
-    /// payload is truncated or malformed.
-    pub fn restore_from(
-        r: &mut powerchop_checkpoint::ByteReader<'_>,
-    ) -> Result<Self, powerchop_checkpoint::CheckpointError> {
-        let id = TranslationId(r.take_u32()?);
-        let head = Pc(r.take_u32()?);
-        let len = r.take_usize()?;
-        let mut trace = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            trace.push(Pc(r.take_u32()?));
-        }
-        let has_vector = r.take_bool()?;
-        Ok(Translation {
-            id,
-            head,
-            trace: std::sync::Arc::from(trace),
-            // Hydrated by the machine after restore (the program is not
-            // in scope here).
-            insts: std::sync::Arc::from(Vec::new()),
-            has_vector,
-        })
-    }
 }
 
 /// Builds a translation starting at `head`.
+///
+/// The result depends only on `program`, `head` and `max_len`, so a
+/// snapshot stores resident heads and restore rebuilds each translation
+/// here. A conditional branch always ends the trace, so control flow
+/// never leaves a trace before its last instruction.
 ///
 /// Returns `None` if `head` is outside the program (a wild indirect jump
 /// target never reaches the translator in practice, but the region cache
 /// must not be polluted if it does).
 #[must_use]
 pub fn translate(program: &Program, head: Pc, max_len: usize) -> Option<Translation> {
-    translate_with_bias(program, head, max_len, |_| None)
-}
-
-/// Builds a *superblock* translation: like [`translate`], but the trace
-/// speculatively continues through conditional branches whose direction
-/// the interpreter found strongly biased (`bias(pc)` returns the likely
-/// direction). This mirrors the speculative trace formation of the
-/// Transmeta translator the paper's BT is modelled on (§II-A: the
-/// interpreter collects "statistics about execution and branch
-/// behavior"); mis-speculation is handled at run time by the region
-/// cache's side-exit mechanism.
-///
-/// Returns `None` if `head` is outside the program.
-#[must_use]
-pub fn translate_with_bias(
-    program: &Program,
-    head: Pc,
-    max_len: usize,
-    bias: impl Fn(Pc) -> Option<bool>,
-) -> Option<Translation> {
     program.inst(head)?;
     let mut trace = Vec::new();
     let mut insts = Vec::new();
@@ -210,14 +125,6 @@ pub fn translate_with_bias(
                 }
                 pc = *target;
             }
-            // Continue through strongly-biased conditional branches
-            // (forward only — backward taken branches end the trace so
-            // loop bodies remain single translations).
-            Inst::Branch { target, .. } => match bias(pc) {
-                Some(true) if target.0 > pc.0 => pc = *target,
-                Some(false) => pc = pc.next(),
-                _ => break,
-            },
             i if i.ends_block() => break,
             _ => pc = pc.next(),
         }
@@ -238,49 +145,6 @@ mod tests {
 
     fn r(i: u8) -> Reg {
         Reg::new(i).expect("register index in range")
-    }
-
-    #[test]
-    fn biased_branches_extend_the_trace() {
-        // not-taken-biased branch: trace falls through it.
-        let mut b = ProgramBuilder::new("bias");
-        let over = b.label();
-        b.li(r(0), 1);
-        b.beq(r(0), r(1), over); // rarely taken
-        b.li(r(2), 2);
-        b.bind(over).unwrap();
-        b.halt();
-        let p = b.build().expect("test program is well-formed");
-        let plain = translate(&p, Pc(0), 64).unwrap();
-        assert_eq!(plain.len(), 2, "plain traces end at the branch");
-        let biased = translate_with_bias(&p, Pc(0), 64, |_| Some(false)).unwrap();
-        assert_eq!(
-            biased.trace(),
-            &[Pc(0), Pc(1), Pc(2), Pc(3)],
-            "superblock falls through to the halt"
-        );
-        let taken = translate_with_bias(&p, Pc(0), 64, |_| Some(true)).unwrap();
-        assert_eq!(
-            taken.trace(),
-            &[Pc(0), Pc(1), Pc(3)],
-            "superblock follows taken bias"
-        );
-    }
-
-    #[test]
-    fn backward_taken_bias_ends_trace() {
-        let mut b = ProgramBuilder::new("backbias");
-        let top = b.bind_label();
-        b.addi(r(0), r(0), 1);
-        b.blt(r(0), r(1), top);
-        b.halt();
-        let p = b.build().expect("test program is well-formed");
-        let t = translate_with_bias(&p, Pc(0), 64, |_| Some(true)).unwrap();
-        assert_eq!(
-            t.len(),
-            2,
-            "backward branches end traces even when biased taken"
-        );
     }
 
     #[test]

@@ -37,8 +37,7 @@ const DATA: u64 = 0x10_0000;
 ///   mapped to host registers, and once more unmapped; `vload`/`vstore`
 ///   also wrap;
 /// - trace-final `beq`/`bne`/`blt`/`bge`, each taken on some iterations
-///   and not on others, plus a rarely-taken branch that superblocks
-///   speculate through (a mid-trace branch that side-exits);
+///   and not on others, plus a rarely-taken branch;
 /// - a call and return, which always take the slow-step helper.
 fn torture_program() -> Program {
     let mut b = ProgramBuilder::new("jit-torture");
@@ -82,7 +81,7 @@ fn torture_program() -> Program {
     // `sink` is used once in this trace, so it is not mapped.
     b.vsplat(v(6), big);
     b.vredsum(sink, v(6));
-    // Taken once every 64 iterations: superblocks speculate through it.
+    // Taken once every 64 iterations.
     b.li(tmp, 63).and(tmp, i, tmp).addi(tmp, tmp, -63);
     b.beq(tmp, zero, rare);
     b.bind(rejoin).expect("bind rejoin");
@@ -261,24 +260,6 @@ fn jit_and_interpreter_are_bit_identical() {
         assert!(
             interp.0.jit_report().is_none(),
             "JIT-off runs carry no report"
-        );
-    }
-}
-
-#[test]
-fn superblock_traces_stay_identical() {
-    let program = torture_program();
-    let config = BtConfig {
-        superblocks: true,
-        ..BtConfig::default()
-    };
-    for (label, core) in cores() {
-        let interp = run_to_halt(JitMode::Off, config, &program, core.clone());
-        let jit = run_to_halt(JitMode::On, config, &program, core);
-        assert_identical(label, &interp, &jit);
-        assert!(
-            jit.0.stats().side_exits > 0,
-            "{label}: no superblock side-exited"
         );
     }
 }

@@ -37,8 +37,9 @@ pub const MAGIC: [u8; 8] = *b"PWCHKPT1";
 
 /// Current snapshot format version. Bump on any incompatible layout
 /// change; readers reject other versions with
-/// [`CheckpointError::VersionSkew`].
-pub const FORMAT_VERSION: u32 = 1;
+/// [`CheckpointError::VersionSkew`]. Version 2 stores the region cache as
+/// resident heads only; version 1 stored every translation's trace.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -700,6 +701,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_older_format_version_is_version_skew() {
+        let mut w = SnapshotWriter::new(42);
+        w.section(1, |w| w.put_u64(7));
+        let mut old = w.finish();
+        // Rewrite the header's version to 1 and reseal the file CRC, so
+        // only the version check can refuse it.
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = old.len() - 4;
+        let crc = crc32(&old[..body]);
+        old[body..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            Snapshot::parse(&old).unwrap_err(),
+            CheckpointError::VersionSkew {
+                found: 1,
+                expected: 2
+            }
+        );
+        assert_eq!(
+            CheckpointError::VersionSkew {
+                found: 1,
+                expected: FORMAT_VERSION
+            }
+            .to_string(),
+            "snapshot format v1, this build reads v2"
+        );
     }
 
     #[test]

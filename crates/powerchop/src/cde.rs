@@ -160,7 +160,6 @@ pub struct Cde {
     thresholds: Thresholds,
     warmup_windows: u32,
     max_profile_attempts: u32,
-    extended_mlc: bool,
     phases: HashMap<PhaseSignature, PhaseRecord>,
     attempts: HashMap<PhaseSignature, u32>,
     stats: CdeStats,
@@ -191,20 +190,10 @@ impl Cde {
             thresholds,
             warmup_windows,
             max_profile_attempts: max_profile_attempts.max(1),
-            extended_mlc: false,
             phases: HashMap::new(),
             attempts: HashMap::new(),
             stats: CdeStats::default(),
         }
-    }
-
-    /// Enables the 4-state MLC policy extension (paper §IV-B3: the 2-bit
-    /// policy field has room for a fourth state): phases in the lower
-    /// part of the Half band are given a quarter of the ways instead.
-    #[must_use]
-    pub fn with_extended_mlc_states(mut self, enabled: bool) -> Self {
-        self.extended_mlc = enabled;
-        self
     }
 
     /// The thresholds in use.
@@ -471,10 +460,6 @@ impl Cde {
             MlcWayState::Full
         } else if criticality_mlc <= t.mlc_low {
             MlcWayState::One
-        } else if self.extended_mlc && criticality_mlc <= (t.mlc_high * t.mlc_low).sqrt() {
-            // Extended 4th state: the lower part of the intermediate
-            // band keeps a quarter of the ways.
-            MlcWayState::Quarter
         } else {
             MlcWayState::Half
         };
@@ -549,25 +534,6 @@ mod tests {
         assert_eq!(cde.decide(&hot, &hot).mlc, MlcWayState::Full);
         assert_eq!(cde.decide(&warm, &warm).mlc, MlcWayState::Half);
         assert_eq!(cde.decide(&cold, &cold).mlc, MlcWayState::One);
-    }
-
-    #[test]
-    fn extended_mlc_states_split_the_middle_band() {
-        let base = Cde::new(Thresholds::default());
-        let ext = Cde::new(Thresholds::default()).with_extended_mlc_states(true);
-        // Low-middle band: 0.2% hit density (between 0.1% and sqrt(0.1%*1%)).
-        let low_mid = profile(10_000, 0, 0, 0, 20);
-        assert_eq!(base.decide(&low_mid, &low_mid).mlc, MlcWayState::Half);
-        assert_eq!(ext.decide(&low_mid, &low_mid).mlc, MlcWayState::Quarter);
-        // High-middle band: 0.5% stays Half in both.
-        let high_mid = profile(10_000, 0, 0, 0, 50);
-        assert_eq!(base.decide(&high_mid, &high_mid).mlc, MlcWayState::Half);
-        assert_eq!(ext.decide(&high_mid, &high_mid).mlc, MlcWayState::Half);
-        // Extremes unchanged.
-        let hot = profile(10_000, 0, 0, 0, 1_000);
-        assert_eq!(ext.decide(&hot, &hot).mlc, MlcWayState::Full);
-        let cold = profile(10_000, 0, 0, 0, 2);
-        assert_eq!(ext.decide(&cold, &cold).mlc, MlcWayState::One);
     }
 
     #[test]

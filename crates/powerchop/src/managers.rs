@@ -364,9 +364,6 @@ pub struct ChopConfig {
     /// Interrupted-profiling attempts before a transient phase is
     /// conservatively decided fully-powered.
     pub max_profile_attempts: u32,
-    /// Enable the 4-state MLC policy extension (quarter-ways as a 4th
-    /// state in the 2-bit policy field).
-    pub extended_mlc_states: bool,
 }
 
 impl Default for ChopConfig {
@@ -381,7 +378,6 @@ impl Default for ChopConfig {
             managed: ManagedSet::ALL,
             profile_warmup_windows: 2,
             max_profile_attempts: 2,
-            extended_mlc_states: false,
         }
     }
 }
@@ -423,8 +419,7 @@ impl PowerChopManager {
                 cfg.thresholds,
                 cfg.profile_warmup_windows,
                 cfg.max_profile_attempts,
-            )
-            .with_extended_mlc_states(cfg.extended_mlc_states),
+            ),
             cfg,
             guard: DegradationGuard::default(),
             window_count: 0,

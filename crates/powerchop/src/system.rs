@@ -124,6 +124,14 @@ impl RunConfig {
                 reason: "must be greater than zero",
             });
         }
+        // A zero trace limit builds empty translations: dispatching one
+        // retires nothing, so the machine would spin on its head forever.
+        if self.bt.max_trace_len == 0 {
+            return Err(SimError::InvalidConfig {
+                field: "bt.max_trace_len",
+                reason: "translations must hold at least one instruction",
+            });
+        }
         // The PVT, HTB and phase-signature machinery index modulo their
         // configured sizes; a zero-sized table must be rejected here
         // with a typed error, not deep inside a `%` expression.
@@ -1107,6 +1115,24 @@ mod tests {
             &|c| c.chop.window_translations = 0,
             "chop.window_translations",
         );
+    }
+
+    #[test]
+    fn a_zero_trace_limit_is_rejected_instead_of_spinning() {
+        // Empty translations retire nothing, so a run under this limit
+        // would dispatch the same head forever. Check `validate` first:
+        // a build without the check hangs in `run_program`.
+        let mut c = cfg();
+        c.bt.max_trace_len = 0;
+        assert!(matches!(
+            c.validate(),
+            Err(crate::SimError::InvalidConfig {
+                field: "bt.max_trace_len",
+                ..
+            })
+        ));
+        let p = idle_units_program(1_000);
+        assert!(run_program(&p, ManagerKind::PowerChop, &c).is_err());
     }
 
     #[test]

@@ -65,21 +65,6 @@ fn pvt_capacity_misses_reregister_from_the_cde_store() {
 }
 
 #[test]
-fn extended_mlc_states_run_end_to_end() {
-    let b = powerchop_workloads::by_name("gems").unwrap();
-    let program = b.program(powerchop_workloads::Scale(0.2));
-    let mut c = cfg();
-    c.max_instructions = 2_000_000;
-    c.chop.extended_mlc_states = true;
-    let report = run_program(&program, ManagerKind::PowerChop, &c).unwrap();
-    // The run completes and accounts quarter-state time separately.
-    assert_eq!(
-        report.gated.total, report.cycles,
-        "quarter cycles must be part of the accounted total"
-    );
-}
-
-#[test]
 fn aggressive_thresholds_save_at_least_as_much_leakage() {
     let b = powerchop_workloads::by_name("sphinx3").unwrap();
     let program = b.program(powerchop_workloads::Scale(0.2));
@@ -95,20 +80,6 @@ fn aggressive_thresholds_save_at_least_as_much_leakage() {
         aggressive.leakage_reduction_vs(&full),
         default.leakage_reduction_vs(&full)
     );
-}
-
-#[test]
-fn superblocks_reduce_dispatches_without_changing_results() {
-    let b = powerchop_workloads::by_name("msn").unwrap();
-    let program = b.program(powerchop_workloads::Scale(0.15));
-    let mut c = RunConfig::for_kind(CoreKind::Mobile);
-    c.max_instructions = 1_500_000;
-    let plain = run_program(&program, ManagerKind::FullPower, &c).unwrap();
-    c.bt.superblocks = true;
-    let sb = run_program(&program, ManagerKind::FullPower, &c).unwrap();
-    assert!(sb.bt.translation_executions <= plain.bt.translation_executions);
-    // Same instructions retired under the same budget semantics.
-    assert_eq!(sb.instructions, plain.instructions);
 }
 
 #[test]

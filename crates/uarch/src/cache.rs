@@ -15,10 +15,10 @@ use powerchop_checkpoint::{ByteReader, ByteWriter, CheckpointError};
 pub enum MlcWayState {
     /// A single way active (lowest power).
     One,
-    /// A quarter of the ways active — the 4th state the paper's 2-bit
-    /// policy field leaves room for (§IV-B3: "the number of states...
-    /// can be increased"). Used when `ChopConfig::extended_mlc_states`
-    /// is enabled.
+    /// A quarter of the ways active — the 4th code of the paper's 2-bit
+    /// policy field (§IV-B3: "the number of states... can be
+    /// increased"). No decided policy uses it; it exists so every 2-bit
+    /// code decodes, e.g. from a corrupted PVT entry.
     Quarter,
     /// Half the ways active.
     Half,
