@@ -136,9 +136,16 @@ pub struct Machine<'p> {
 
 impl<'p> Machine<'p> {
     /// Creates a machine at the program entry with an initialized memory
-    /// image and an empty region cache.
+    /// image and an empty region cache. A zero `max_trace_len` is
+    /// clamped to 1, as the region cache clamps a zero capacity: an
+    /// empty translation retires nothing, so dispatching it would spin
+    /// on its head forever.
     #[must_use]
     pub fn new(program: &'p Program, config: BtConfig) -> Self {
+        let config = BtConfig {
+            max_trace_len: config.max_trace_len.max(1),
+            ..config
+        };
         let mut mem = Memory::new();
         program.init_memory(&mut mem);
         Machine {
@@ -489,6 +496,26 @@ mod tests {
         // Architectural result identical to pure interpretation.
         assert_eq!(m.cpu().int_reg(r(0)), 10_000);
         assert_eq!(m.cpu().int_reg(r(2)), 30_000);
+    }
+
+    #[test]
+    fn a_zero_trace_limit_is_clamped_and_the_program_still_halts() {
+        let p = loop_program(1_000);
+        let mut core = new_core();
+        let cfg = BtConfig {
+            max_trace_len: 0,
+            ..BtConfig::default()
+        };
+        let mut m = Machine::new(&p, cfg);
+        for _ in 0..1_000_000 {
+            if m.halted() {
+                break;
+            }
+            m.step(&mut core).unwrap();
+        }
+        assert!(m.halted(), "empty translations spun without retiring");
+        assert_eq!(m.cpu().int_reg(r(0)), 1_000);
+        assert_eq!(m.cpu().int_reg(r(2)), 3_000);
     }
 
     #[test]

@@ -103,15 +103,11 @@ fn serve_cmd(opts: &crate::args::ServeOpts) -> Result<(), CliError> {
 }
 
 fn suite_by_name(name: &str) -> Result<Suite, CliError> {
-    match name {
-        "spec-int" | "specint" => Ok(Suite::SpecInt),
-        "spec-fp" | "specfp" => Ok(Suite::SpecFp),
-        "parsec" => Ok(Suite::Parsec),
-        "mobile" | "mobilebench" => Ok(Suite::MobileBench),
-        other => Err(CliError(format!(
-            "unknown suite `{other}` (expected spec-int|spec-fp|parsec|mobile)"
-        ))),
-    }
+    Suite::by_name(name).ok_or_else(|| {
+        CliError(format!(
+            "unknown suite `{name}` (expected spec-int|spec-fp|parsec|mobile)"
+        ))
+    })
 }
 
 pub(crate) fn benchmark(name: &str) -> Result<&'static Benchmark, CliError> {

@@ -5,10 +5,11 @@
 //! `status`, `health`, `metrics` and `shutdown`. Simulations dispatch
 //! onto the bounded [`powerchop_exec::WorkerPool`]; a full queue sheds
 //! requests with an explicit 429-style reply instead of queueing
-//! unboundedly, and a max-connections gate and per-socket timeouts shed
-//! slow or excess clients with typed replies. A panicking run is a typed
-//! 500 on a surviving worker; the daemon has no in-process restart path,
-//! and `powerchop-cli serve --supervised` restarts a crashed process.
+//! unboundedly, and a max-connections gate and per-connection deadlines
+//! shed slow or excess clients with typed replies. A panicking run is a
+//! typed 500 on a surviving worker; the daemon has no in-process restart
+//! path, and `powerchop-cli serve --supervised` restarts a crashed
+//! process.
 //! Completed reports land in an LRU cache keyed by the checkpoint
 //! crate's program + configuration fingerprints, so repeated requests
 //! are answered from memory, bit-identically. Every run has a wall-clock
@@ -35,7 +36,6 @@
 //!   loop, snapshot metadata) and the journal/spill/result-log glue over
 //!   `powerchop-durable`, shared with the CLI.
 //! - [`net`] — epoll/eventfd wrappers over libc (the only unsafe code).
-//! - [`wheel`] — the timing wheel behind read/write deadlines.
 //! - [`server`] — the epoll event loop, dispatch, drain.
 //! - `report` — the shared run-report serializer the CLI re-exports.
 //!
@@ -54,7 +54,6 @@ pub mod net;
 pub mod protocol;
 mod report;
 pub mod server;
-pub mod wheel;
 
 pub use powerchop_telemetry::json;
 pub use protocol::{

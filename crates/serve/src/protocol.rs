@@ -328,17 +328,11 @@ fn sweep_benches(v: &Json) -> Result<Vec<String>, ReqError> {
             "field \"benches\" must be an array of strings",
         )),
         (None, Some(name)) => {
-            let suite = match name {
-                "spec-int" | "specint" => powerchop_workloads::Suite::SpecInt,
-                "spec-fp" | "specfp" => powerchop_workloads::Suite::SpecFp,
-                "parsec" => powerchop_workloads::Suite::Parsec,
-                "mobile" | "mobilebench" => powerchop_workloads::Suite::MobileBench,
-                other => {
-                    return Err(ReqError::bad_request(format!(
-                        "unknown suite {other:?} (expected spec-int|spec-fp|parsec|mobile)"
-                    )))
-                }
-            };
+            let suite = powerchop_workloads::Suite::by_name(name).ok_or_else(|| {
+                ReqError::bad_request(format!(
+                    "unknown suite {name:?} (expected spec-int|spec-fp|parsec|mobile)"
+                ))
+            })?;
             Ok(powerchop_workloads::suite(suite)
                 .map(|b| b.name().to_owned())
                 .collect())

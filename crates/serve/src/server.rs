@@ -28,17 +28,18 @@
 //! checks it at every step-chunk boundary, so a runaway request yields a
 //! 408 reply instead of pinning a worker forever.
 //!
-//! Connections are hardened end to end: a timing wheel (see
-//! [`crate::wheel`]) replaces per-socket kernel timeouts — a client
-//! that cannot produce a request line within the read timeout, or
-//! absorb its reply within the write timeout, gets a typed 408 and is
-//! disconnected. `WouldBlock` is never treated as a timeout: on a
-//! non-blocking socket it only means "no data yet", and timeouts are
-//! classified exclusively by wheel expiry. A bounded per-connection
-//! outbox caps what a non-reading client can queue; past the cap the
-//! connection is closed with a typed 408 — replies are never truncated
-//! mid-line. A max-connections gate sheds excess connections with a
-//! typed 503.
+//! Connections are hardened end to end. Each connection carries its own
+//! read and write deadlines in place of per-socket kernel timeouts, and
+//! the loop sleeps until the earliest one. A client that cannot produce
+//! a request line within the read timeout of the daemon starting to wait
+//! for it gets a typed 408 and is disconnected; one whose socket makes
+//! no flush progress within the write timeout is disconnected outright.
+//! `WouldBlock` is never treated as a timeout: on a non-blocking socket
+//! it only means "no data yet", and timeouts are classified exclusively
+//! by deadline expiry. A bounded per-connection outbox caps what a
+//! non-reading client can queue; past the cap the connection is closed
+//! with a typed 408 — replies are never truncated mid-line. A
+//! max-connections gate sheds excess connections with a typed 503.
 //!
 //! Completed reports are cached in a sharded LRU keyed by
 //! [`powerchop_checkpoint::run_key`] over the program and configuration
@@ -56,16 +57,16 @@
 //! See `DESIGN.md` §14 for the event-loop state machine.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use powerchop::{RunConfig, RunReport, SimError};
-use powerchop_durable::PendingIntent;
 use powerchop_exec::{JobPanic, SubmitError, WorkerPool};
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{
@@ -81,7 +82,6 @@ use crate::protocol::{
     SweepOutcome,
 };
 use crate::report::report_to_json;
-use crate::wheel::TimerWheel;
 
 /// Everything that shapes a daemon instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,8 +106,11 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Read deadline in milliseconds (0 disables): a client that cannot
     /// produce a full request line within it gets a typed 408
-    /// (`slow-client`) and is disconnected. Enforced by the timing
-    /// wheel, never by `WouldBlock` classification.
+    /// (`slow-client`) and is disconnected. The clock starts when the
+    /// daemon starts waiting for the line (at accept, after the previous
+    /// line, or after a run's reply) and partial input never restarts
+    /// it. Enforced by the connection's own deadline, never by
+    /// `WouldBlock` classification.
     pub read_timeout_ms: u64,
     /// Write deadline in milliseconds (0 disables): a client whose
     /// socket makes no flush progress within it is disconnected.
@@ -273,173 +276,34 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared by the event loop and the workers' completion callbacks.
+/// What the workers' completion callbacks share with the event loop.
+/// Everything else the daemon tracks is plain `EventLoop` data, owned
+/// by the loop thread.
 struct State {
-    pool: WorkerPool,
     cache: ShardedCache,
     metrics: Mutex<MetricsRegistry>,
-    draining: AtomicBool,
-    limits: Limits,
-    max_request_bytes: usize,
-    addr: SocketAddr,
-    /// Connections currently being served (max-connections gate).
-    connections: AtomicUsize,
-    max_connections: usize,
-    read_timeout_ms: u64,
-    write_timeout_ms: u64,
-    /// Per-connection cap on unflushed reply bytes (see
-    /// [`ServerConfig::max_outbox_bytes`]).
-    max_outbox_bytes: usize,
-    /// Unflushed reply bytes across every connection (the
-    /// `serve_outbox_bytes` gauge).
-    outbox_bytes: AtomicU64,
-    /// Zero point of the daemon's millisecond clock.
-    epoch: Instant,
     /// Crash-consistency machinery (`None` when `--journal-dir` is
-    /// unset: the daemon runs memory-only, exactly as before).
+    /// unset: the daemon runs memory-only).
     durable: Option<Arc<Durability>>,
-    /// Seed of the SplitMix64 trace-id sequence (fixed by `--seed`,
-    /// OS entropy otherwise).
-    trace_seed: u64,
-    /// Requests traced so far; the counter value is the sequence
-    /// index fed to [`trace_id`].
-    trace_counter: AtomicU64,
-    /// Requests currently inside dispatch (the
-    /// `serve_inflight_requests` gauge).
-    inflight_requests: AtomicUsize,
-    /// The JSONL access log, append-opened at bind (`None` when
-    /// `--access-log` is unset).
-    access: Option<Mutex<BufWriter<std::fs::File>>>,
-    /// Slow-request promotion threshold (see [`ServerConfig::slow_ms`]).
-    slow_ms: Option<u64>,
     /// Completion callbacks send settled rows here, then ring `wake`;
     /// the event loop owns the receiving end.
     done_tx: mpsc::Sender<Completion>,
     wake: WakeFd,
+    /// Whether runs carry an attached flight recorder (only when
+    /// someone can see the result: the access log is on).
+    traced: bool,
 }
 
 impl State {
     fn count(&self, name: &'static str) {
         lock(&self.metrics).counter_add(name, 1);
     }
-
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    /// Milliseconds since the daemon booted (the wheel clock, uptime
-    /// and access-log timestamps).
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Mints the next trace id: a SplitMix64 stream over the seed, so
-    /// a fixed `--seed` reproduces the exact id sequence.
-    fn next_trace(&self) -> u64 {
-        trace_id(
-            self.trace_seed,
-            self.trace_counter.fetch_add(1, Ordering::SeqCst),
-        )
-    }
-
-    /// Whether runs should carry an attached flight recorder (only
-    /// when someone can see the result: the access log is on).
-    fn traced(&self) -> bool {
-        self.access.is_some()
-    }
-
-    /// Folds one finished request into the per-op latency histogram
-    /// and the access log, and releases the in-flight gauge.
-    fn observe_request(&self, ctx: &RequestCtx) {
-        self.inflight_requests.fetch_sub(1, Ordering::SeqCst);
-        let total_ns = ctx.ledger.total_wall_ns();
-        lock(&self.metrics).observe(op_duration_metric(ctx.op), total_ns / 1_000_000);
-        if self.access.is_some() {
-            self.log_access(&self.access_record(ctx, total_ns));
-        }
-    }
-
-    /// Appends one raw JSONL line to the access log (best effort: a
-    /// full disk must never take the serving path down with it).
-    fn log_access(&self, record: &str) {
-        if let Some(log) = &self.access {
-            let mut w = lock(log);
-            let _ = writeln!(w, "{record}");
-            let _ = w.flush();
-        }
-    }
-
-    /// Renders one access-log record. Every record carries all seven
-    /// span phases; crossing the `--slow-ms` threshold promotes it
-    /// with compute-attribution detail.
-    fn access_record(&self, ctx: &RequestCtx, total_ns: u64) -> String {
-        let total_us = total_ns / 1_000;
-        let slow = self.slow_ms.is_some_and(|ms| total_us / 1_000 >= ms);
-        let mut spans = JsonWriter::object();
-        for phase in Phase::ALL {
-            let key = format!("{}_us", phase.label());
-            spans.field_u64(&key, ctx.ledger.wall_ns(phase) / 1_000);
-        }
-        let mut w = JsonWriter::object();
-        w.field_u64("ts_ms", self.now_ms());
-        w.field_str("trace_id", &format_trace_id(ctx.trace));
-        w.field_str("op", ctx.op);
-        w.field_u64("status", u64::from(ctx.status));
-        w.field_bool("cached", ctx.cached);
-        if let Some(bench) = &ctx.bench {
-            w.field_str("bench", bench);
-        }
-        w.field_u64("duration_us", total_us);
-        w.field_raw("spans", &spans.finish());
-        w.field_bool("slow", slow);
-        if slow {
-            // Simulated cycles behind the compute phase (sweeps add up
-            // their rows).
-            w.field_u64("compute_cycles", ctx.ledger.cycles(Phase::Compute));
-            w.field_u64("trace_events", ctx.trace_events);
-        }
-        w.finish()
-    }
-
-    /// Snapshot the live gauges and render the Prometheus text.
-    fn prometheus_text(&self) -> String {
-        let mut m = lock(&self.metrics);
-        m.gauge_set("serve_queue_depth", self.pool.queued() as f64);
-        m.gauge_set("serve_inflight", self.pool.inflight() as f64);
-        m.gauge_set("serve_cache_entries", self.cache.len() as f64);
-        m.gauge_set("serve_draining", if self.draining() { 1.0 } else { 0.0 });
-        m.gauge_set(
-            "serve_connections",
-            self.connections.load(Ordering::SeqCst) as f64,
-        );
-        m.gauge_set(
-            "serve_inflight_requests",
-            self.inflight_requests.load(Ordering::SeqCst) as f64,
-        );
-        m.gauge_set(
-            "serve_outbox_bytes",
-            self.outbox_bytes.load(Ordering::SeqCst) as f64,
-        );
-        // Refresh the quantile gauges from the log2 histograms so every
-        // scrape carries current p50/p90/p99/p999 estimates alongside
-        // the raw buckets.
-        for (hist, gauge, q) in QUANTILE_GAUGES {
-            if let Some(estimate) = m.histogram(hist).map(|h| h.quantile(q)) {
-                m.gauge_set(gauge, estimate);
-            }
-        }
-        m.to_prometheus_text()
-    }
 }
 
 /// A bound daemon, ready to [`run`](Server::run).
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<State>,
-    /// Journaled intents with no completion record, found at boot.
-    /// [`Server::run`] resumes them as loop-owned batches.
-    pending: Vec<PendingIntent>,
-    done_rx: mpsc::Receiver<Completion>,
+    addr: SocketAddr,
+    el: EventLoop,
 }
 
 impl Server {
@@ -518,16 +382,16 @@ impl Server {
             "serve_backpressure_disconnects_total",
             "Slow consumers disconnected for exceeding the per-connection outbox cap.",
         );
-        // The access log is append-opened before the listener exists:
-        // if the path is bad the daemon fails to boot loudly instead of
-        // silently dropping every record.
+        // The access log is append-opened at bind, before anything is
+        // served: if the path is bad the daemon fails to boot loudly
+        // instead of silently dropping every record.
         let access = match &cfg.access_log {
-            Some(path) => Some(Mutex::new(BufWriter::new(
+            Some(path) => Some(BufWriter::new(
                 std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(path)?,
-            ))),
+            )),
             None => None,
         };
         // Boot-time recovery: replay the journal and reload the
@@ -557,44 +421,67 @@ impl Server {
         cache.absorb(reloaded);
         let (done_tx, done_rx) = mpsc::channel();
         let state = Arc::new(State {
-            pool: WorkerPool::new(jobs, cfg.queue_depth),
             cache,
             metrics: Mutex::new(metrics),
-            draining: AtomicBool::new(false),
-            limits: Limits {
-                max_budget: cfg.max_budget,
-                deadline_ms: cfg.deadline_ms,
-            },
-            max_request_bytes: cfg.max_request_bytes,
-            addr,
-            connections: AtomicUsize::new(0),
-            max_connections: cfg.max_connections.max(1),
-            read_timeout_ms: cfg.read_timeout_ms,
-            write_timeout_ms: cfg.write_timeout_ms,
-            max_outbox_bytes: cfg.max_outbox_bytes.max(1),
-            outbox_bytes: AtomicU64::new(0),
-            epoch: Instant::now(),
             durable,
-            trace_seed: cfg.seed.unwrap_or_else(entropy_seed),
-            trace_counter: AtomicU64::new(0),
-            inflight_requests: AtomicUsize::new(0),
-            access,
-            slow_ms: cfg.slow_ms,
             done_tx,
             wake: WakeFd::new()?,
+            traced: access.is_some(),
         });
-        Ok(Self {
-            listener,
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
+        epoll.add(state.wake.raw(), EPOLLIN, TOK_WAKE)?;
+        let mut el = EventLoop {
+            cfg: ServerConfig {
+                max_connections: cfg.max_connections.max(1),
+                max_outbox_bytes: cfg.max_outbox_bytes.max(1),
+                ..cfg.clone()
+            },
             state,
-            pending,
+            pool: WorkerPool::new(jobs, cfg.queue_depth),
+            listener,
+            epoll,
             done_rx,
-        })
+            conns: BTreeMap::new(),
+            next_token: TOK_FIRST_CONN,
+            batches: HashMap::new(),
+            next_batch: 0,
+            recovery: 0..0,
+            parked: BTreeSet::new(),
+            draining: false,
+            connections: 0,
+            inflight_requests: 0,
+            outbox_bytes: 0,
+            epoch: Instant::now(),
+            trace_seed: cfg.seed.unwrap_or_else(entropy_seed),
+            traces: 0,
+            access,
+        };
+        // Journaled intents with no completion record become loop-owned
+        // batches, resumed once the loop runs.
+        for intent in pending {
+            let specs = intent
+                .specs
+                .iter()
+                .filter_map(|rec| durability::record_to_spec(rec, cfg.deadline_ms))
+                .collect();
+            let owner = Owner::Recovery {
+                trace: intent.trace,
+                spilled: intent.spilled,
+            };
+            el.batches
+                .insert(el.next_batch, Batch::new(owner, Some(intent.id), specs));
+            el.next_batch += 1;
+        }
+        el.recovery = 0..el.next_batch;
+        Ok(Self { addr, el })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.addr
     }
 
     /// Serves until a shutdown request drains the daemon.
@@ -608,14 +495,8 @@ impl Server {
     ///
     /// Propagates event-loop I/O failures (epoll itself breaking);
     /// per-connection errors only terminate that connection.
-    pub fn run(self) -> std::io::Result<()> {
-        // Journaled work resumes as a loop-owned batch while the listener
-        // serves new clients; `health` reports `recovery_active` until
-        // the backlog drains. Draining stops recovery from submitting
-        // (the rest stays journaled for the next boot), and the loop
-        // only exits once every row it put on the pool has landed, so
-        // the pool is idle by then.
-        run_event_loop(&self.listener, &self.state, self.pending, &self.done_rx)
+    pub fn run(mut self) -> std::io::Result<()> {
+        self.el.serve()
     }
 }
 
@@ -624,14 +505,10 @@ const TOK_LISTENER: u64 = 0;
 /// Wakeup-eventfd token.
 const TOK_WAKE: u64 = 1;
 /// First connection token; tokens grow monotonically and are never
-/// reused, so a stale timer or completion can never hit a new client.
+/// reused, so a stale completion can never hit a new client.
 const TOK_FIRST_CONN: u64 = 2;
 /// Bytes read per `read` call on a ready socket.
 const READ_CHUNK: usize = 16 * 1024;
-/// Timing-wheel tick width.
-const WHEEL_GRANULARITY_MS: u64 = 8;
-/// Timing-wheel slot count (horizon: slots × granularity per turn).
-const WHEEL_SLOTS: usize = 512;
 /// Ready events drained per `epoll_wait`.
 const EVENTS_PER_WAIT: usize = 256;
 /// Longest HTTP header line accepted before it is consumed as-is.
@@ -644,21 +521,6 @@ const HTTP_HEADER_LINES_MAX: usize = 64;
 enum Fate {
     Keep,
     Close,
-}
-
-#[derive(Clone, Copy)]
-enum TimerKind {
-    Read,
-    Write,
-}
-
-/// A wheel entry: which connection, which deadline. Cancellation is
-/// lazy — the connection's own deadline field is the truth, a fired
-/// entry for a disarmed or refreshed deadline is a no-op or a re-arm.
-#[derive(Clone, Copy)]
-struct Timer {
-    token: u64,
-    kind: TimerKind,
 }
 
 /// Where a connection is in its request/reply cycle.
@@ -701,16 +563,13 @@ struct Conn {
     phase: ConnPhase,
     /// When the daemon started waiting for the current request line.
     accept_started: Instant,
-    /// Absolute ms deadline for the next complete request line
-    /// (`None` = disarmed, e.g. while a run is in flight).
+    /// Absolute ms deadline for the next complete request line, armed
+    /// once per line and never moved by partial input (`None` =
+    /// disarmed: a run in flight, or a close after the flush).
     read_deadline: Option<u64>,
-    /// Absolute ms deadline for flush progress (`None` while the
-    /// outbox is empty).
+    /// Absolute ms deadline for flush progress, moved on each write
+    /// (`None` while the socket accepts everything queued).
     write_deadline: Option<u64>,
-    /// Whether a wheel entry for this deadline kind is live (at most
-    /// one each; refreshes only move the deadline field).
-    read_entry_live: bool,
-    write_entry_live: bool,
     /// Close as soon as the outbox drains (oversize line, HTTP reply,
     /// slow-client 408, backpressure trip).
     close_after_flush: bool,
@@ -739,8 +598,6 @@ impl Conn {
             accept_started: Instant::now(),
             read_deadline: None,
             write_deadline: None,
-            read_entry_live: false,
-            write_entry_live: false,
             close_after_flush: false,
             eof: false,
             interest: EPOLLIN,
@@ -835,13 +692,18 @@ struct Row {
     outcome: SweepOutcome,
 }
 
-/// The epoll event loop: all connection and batch state lives here, on
-/// one thread. Compute never runs on it.
-struct EventLoop<'a> {
-    state: &'a Arc<State>,
+/// The epoll event loop: every connection, batch and loop counter lives
+/// here, on one thread. Compute never runs on it.
+struct EventLoop {
+    /// The daemon's configuration, both caps clamped to at least 1.
+    cfg: ServerConfig,
+    state: Arc<State>,
+    pool: WorkerPool,
+    listener: TcpListener,
     epoll: Epoll,
-    conns: HashMap<u64, Conn>,
-    wheel: TimerWheel<Timer>,
+    done_rx: mpsc::Receiver<Completion>,
+    /// Live connections by token; iteration runs in accept order.
+    conns: BTreeMap<u64, Conn>,
     next_token: u64,
     /// Runs, sweeps and recovered intents with rows still owed; the
     /// drain waits for none.
@@ -855,100 +717,97 @@ struct EventLoop<'a> {
     /// every completion, and every new batch (which must not jump the
     /// line), re-attempts them: nothing sleeps and no timer is armed.
     parked: BTreeSet<u64>,
-    /// Scratch buffer for wheel expiry.
-    fired: Vec<Timer>,
+    /// Set by `shutdown`: new work is refused and the loop returns once
+    /// every connection and batch is gone.
+    draining: bool,
+    /// Connections currently admitted (the max-connections gate; the
+    /// one being handled sits outside `conns` but still counts).
+    connections: usize,
+    /// Requests currently inside dispatch (the
+    /// `serve_inflight_requests` gauge).
+    inflight_requests: usize,
+    /// Unflushed reply bytes across every connection (the
+    /// `serve_outbox_bytes` gauge).
+    outbox_bytes: u64,
+    /// Zero point of the daemon's millisecond clock.
+    epoch: Instant,
+    /// Seed of the SplitMix64 trace-id sequence (fixed by `--seed`,
+    /// OS entropy otherwise).
+    trace_seed: u64,
+    /// Requests traced so far: the sequence index fed to [`trace_id`].
+    traces: u64,
+    /// The JSONL access log, append-opened at bind (`None` when
+    /// `--access-log` is unset).
+    access: Option<BufWriter<File>>,
 }
 
-fn run_event_loop(
-    listener: &TcpListener,
-    state: &Arc<State>,
-    pending: Vec<PendingIntent>,
-    done_rx: &mpsc::Receiver<Completion>,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
-    epoll.add(state.wake.raw(), EPOLLIN, TOK_WAKE)?;
-    let mut el = EventLoop {
-        state,
-        epoll,
-        conns: HashMap::new(),
-        wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS),
-        next_token: TOK_FIRST_CONN,
-        batches: HashMap::new(),
-        next_batch: 0,
-        recovery: 0..0,
-        parked: BTreeSet::new(),
-        fired: Vec::new(),
-    };
-    for intent in pending {
-        let specs = intent
-            .specs
-            .iter()
-            .filter_map(|rec| durability::record_to_spec(rec, state.limits.deadline_ms))
-            .collect();
-        let owner = Owner::Recovery {
-            trace: intent.trace,
-            spilled: intent.spilled,
-        };
-        el.batches
-            .insert(el.next_batch, Batch::new(owner, Some(intent.id), specs));
-        el.next_batch += 1;
-    }
-    el.recovery = 0..el.next_batch;
-    el.advance_recovery();
-    let mut events = vec![EpollEvent::default(); EVENTS_PER_WAIT];
-    let mut listening = true;
-    loop {
-        if el.state.draining() {
-            if listening {
-                el.epoll.del(listener.as_raw_fd());
-                listening = false;
-            }
-            el.advance_recovery();
-            if el.conns.is_empty() && el.batches.is_empty() {
-                break;
-            }
-        }
-        let now = el.state.now_ms();
-        let timeout = match el.wheel.next_timeout_ms(now) {
-            Some(ms) => i32::try_from(ms.min(3_600_000)).unwrap_or(3_600_000),
-            // Nothing armed: sleep until an event. While draining, tick
-            // periodically as cheap insurance against a missed wakeup.
-            None if el.state.draining() => 100,
-            None => -1,
-        };
-        let n = el.epoll.wait(&mut events, timeout)?;
-        if n > 0 {
-            lock(&el.state.metrics).counter_add("serve_epoll_wakeups_total", 1);
-        }
-        for ev in &events[..n] {
-            let token = ev.data;
-            let mask = ev.events;
-            match token {
-                TOK_LISTENER => {
-                    if listening {
-                        el.accept_ready(listener);
-                    }
+impl EventLoop {
+    /// The loop behind `Server::run`: returns once a drain completes.
+    fn serve(&mut self) -> std::io::Result<()> {
+        // Journaled work resumes as a loop-owned batch while the listener
+        // serves new clients; `health` reports `recovery_active` until
+        // the backlog drains. Draining stops recovery from submitting
+        // (the rest stays journaled for the next boot), and the loop
+        // only exits once every row it put on the pool has landed, so
+        // the pool is idle by then.
+        self.advance_recovery();
+        let mut events = vec![EpollEvent::default(); EVENTS_PER_WAIT];
+        let mut listening = true;
+        loop {
+            if self.draining {
+                if listening {
+                    self.epoll.del(self.listener.as_raw_fd());
+                    listening = false;
                 }
-                TOK_WAKE => el.state.wake.drain(),
-                _ => el.on_conn_event(token, mask),
+                self.advance_recovery();
+                if self.conns.is_empty() && self.batches.is_empty() {
+                    return Ok(());
+                }
             }
+            let timeout = match self.next_deadline() {
+                Some(d) => i32::try_from(d.saturating_sub(self.now_ms())).unwrap_or(i32::MAX),
+                // Nothing armed: sleep until an event. While draining, tick
+                // periodically as cheap insurance against a missed wakeup.
+                None if self.draining => 100,
+                None => -1,
+            };
+            let n = self.epoll.wait(&mut events, timeout)?;
+            if n > 0 {
+                self.state.count("serve_epoll_wakeups_total");
+            }
+            for ev in &events[..n] {
+                match ev.data {
+                    TOK_LISTENER => self.accept_ready(),
+                    TOK_WAKE => self.state.wake.drain(),
+                    token => self.on_conn_event(token, ev.events),
+                }
+            }
+            while let Ok(done) = self.done_rx.try_recv() {
+                self.on_completion(done);
+            }
+            self.expire_deadlines();
         }
-        while let Ok(done) = done_rx.try_recv() {
-            el.on_completion(done);
-        }
-        el.on_timers();
     }
-    Ok(())
-}
 
-impl EventLoop<'_> {
+    /// Milliseconds since the daemon booted (the deadline clock, uptime
+    /// and access-log timestamps).
+    fn now_ms(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    /// Mints the next trace id: a SplitMix64 stream over the seed, so
+    /// a fixed `--seed` reproduces the exact id sequence.
+    fn next_trace(&mut self) -> u64 {
+        let id = trace_id(self.trace_seed, self.traces);
+        self.traces += 1;
+        id
+    }
+
     /// Accepts until the backlog is dry. Transient accept failures
     /// (aborted handshakes, fd pressure) lose at most that connection.
-    fn accept_ready(&mut self, listener: &TcpListener) {
+    fn accept_ready(&mut self) {
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => self.admit(stream),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -962,37 +821,30 @@ impl EventLoop<'_> {
 
     /// Admits one accepted socket through the max-connections gate and
     /// into the interest set, or sheds it with one typed 503 line.
-    fn admit(&mut self, stream: TcpStream) {
-        if self.state.draining() {
+    fn admit(&mut self, mut stream: TcpStream) {
+        if self.draining || stream.set_nonblocking(true).is_err() {
             return;
         }
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let admitted =
-            self.state.connections.fetch_add(1, Ordering::SeqCst) < self.state.max_connections;
-        if !admitted {
-            self.state.connections.fetch_sub(1, Ordering::SeqCst);
+        if self.connections >= self.cfg.max_connections {
             self.state.count("serve_conn_rejected_total");
-            let mut stream = stream;
-            let e = ReqError::overloaded(self.state.max_connections);
+            let e = ReqError::overloaded(self.cfg.max_connections);
             // Even a shed connection gets a trace id: the 503 line is
             // the only artifact the client has to report. Best effort —
             // the freshly-accepted socket's send buffer is empty, so
             // one line fits without blocking.
-            let _ = writeln!(stream, "{}", error_reply(&e, self.state.next_trace()));
+            let _ = writeln!(stream, "{}", error_reply(&e, self.next_trace()));
             return;
         }
         let fd = stream.as_raw_fd();
         let token = self.next_token;
         self.next_token += 1;
         if self.epoll.add(fd, EPOLLIN, token).is_err() {
-            self.state.connections.fetch_sub(1, Ordering::SeqCst);
             return;
         }
+        self.connections += 1;
         self.state.count("serve_connections_total");
         let mut conn = Conn::new(stream, fd);
-        self.arm_read(token, &mut conn);
+        self.await_line(&mut conn);
         self.conns.insert(token, conn);
     }
 
@@ -1007,7 +859,7 @@ impl EventLoop<'_> {
             fate = Fate::Close;
         }
         if fate == Fate::Keep && mask & EPOLLOUT != 0 {
-            fate = self.try_flush(token, &mut conn);
+            fate = self.try_flush(&mut conn);
         }
         if fate == Fate::Keep && mask & (EPOLLIN | EPOLLHUP) != 0 {
             fate = self.fill_inbuf(&mut conn);
@@ -1017,13 +869,13 @@ impl EventLoop<'_> {
 
     /// Reads everything currently available. `WouldBlock` here means
     /// exactly "no more data yet" — never a timeout; timeouts are the
-    /// wheel's verdict alone.
+    /// deadlines' verdict alone, and partial input never moves one.
     fn fill_inbuf(&mut self, conn: &mut Conn) -> Fate {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             // Bounded: once a full oversized line could be framed, stop
             // reading and let the framer reject it.
-            if conn.inbuf.len() > self.state.max_request_bytes + READ_CHUNK {
+            if conn.inbuf.len() > self.cfg.max_request_bytes + READ_CHUNK {
                 return Fate::Keep;
             }
             match conn.stream.read(&mut chunk) {
@@ -1031,18 +883,7 @@ impl EventLoop<'_> {
                     conn.eof = true;
                     return Fate::Keep;
                 }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    // Progress refreshes the read deadline in place; the
-                    // wheel entry re-arms itself lazily on expiry.
-                    if conn.read_deadline.is_some() && self.state.read_timeout_ms > 0 {
-                        conn.read_deadline = Some(
-                            self.state
-                                .now_ms()
-                                .saturating_add(self.state.read_timeout_ms),
-                        );
-                    }
-                }
+                Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Fate::Keep,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -1062,7 +903,7 @@ impl EventLoop<'_> {
             Fate::Close
         } else {
             self.drain_lines(token, &mut conn);
-            self.try_flush(token, &mut conn)
+            self.try_flush(&mut conn)
         };
         if fate == Fate::Close || (conn.eof && conn.idle()) {
             self.close_conn(conn);
@@ -1089,14 +930,14 @@ impl EventLoop<'_> {
                 Some(i) => {
                     let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
                     let content = &line[..line.len() - 1];
-                    if content.len() > self.state.max_request_bytes {
+                    if content.len() > self.cfg.max_request_bytes {
                         self.reject_oversize(conn);
                     } else {
                         self.process_request_line(token, conn, content);
                     }
                 }
                 None => {
-                    if conn.inbuf.len() > self.state.max_request_bytes {
+                    if conn.inbuf.len() > self.cfg.max_request_bytes {
                         self.reject_oversize(conn);
                         continue;
                     }
@@ -1147,12 +988,25 @@ impl EventLoop<'_> {
         let ConnPhase::Http { path, .. } = phase else {
             return false;
         };
-        let response = http_response(self.state, &path);
+        let response = self.http_response(&path);
         conn.inbuf.clear();
         conn.read_deadline = None;
         conn.close_after_flush = true;
         self.enqueue_bytes(conn, response.as_bytes(), None);
         false
+    }
+
+    /// The request a framed line starts: mints its trace id, claims the
+    /// in-flight gauge and closes its accept span. Every exit settles
+    /// all three when its reply flushes (or the conn dies). The daemon
+    /// now waits for the next line.
+    fn start_request(&mut self, conn: &mut Conn) -> RequestCtx {
+        let mut ctx = RequestCtx::new(self.next_trace());
+        self.inflight_requests += 1;
+        ctx.ledger
+            .record(Phase::Accept, ns_since(conn.accept_started));
+        self.await_line(conn);
+        ctx
     }
 
     /// One framed request line: count it, classify it (HTTP vs JSON),
@@ -1173,14 +1027,7 @@ impl EventLoop<'_> {
             conn.phase = ConnPhase::Http { path, lines: 0 };
             return;
         }
-        // The request exists from here on: mint its trace id, start
-        // its span ledger, and claim the in-flight gauge. Every exit
-        // settles all three when its reply flushes (or the conn dies).
-        let mut ctx = RequestCtx::new(self.state.next_trace());
-        self.state.inflight_requests.fetch_add(1, Ordering::SeqCst);
-        ctx.ledger
-            .record(Phase::Accept, ns_since(conn.accept_started));
-        conn.accept_started = Instant::now();
+        let mut ctx = self.start_request(conn);
         let parse_started = Instant::now();
         let Ok(text) = std::str::from_utf8(content) else {
             ctx.ledger.record(Phase::Parse, ns_since(parse_started));
@@ -1217,15 +1064,11 @@ impl EventLoop<'_> {
     /// way to find the next request boundary.
     fn reject_oversize(&mut self, conn: &mut Conn) {
         self.state.count("serve_requests_total");
-        let mut ctx = RequestCtx::new(self.state.next_trace());
-        self.state.inflight_requests.fetch_add(1, Ordering::SeqCst);
-        ctx.ledger
-            .record(Phase::Accept, ns_since(conn.accept_started));
-        conn.accept_started = Instant::now();
+        let mut ctx = self.start_request(conn);
         self.state.count("serve_errors_total");
         let e = ReqError::bad_request(format!(
             "request line exceeds {} bytes",
-            self.state.max_request_bytes
+            self.cfg.max_request_bytes
         ));
         ctx.status = e.code;
         let reply = error_reply(&e, ctx.trace);
@@ -1251,14 +1094,14 @@ impl EventLoop<'_> {
     /// the backlog drains. Queued lines are never truncated.
     fn enqueue_bytes(&mut self, conn: &mut Conn, bytes: &[u8], ctx: Option<RequestCtx>) {
         let pending = conn.out_pending();
-        if pending > 0 && pending + bytes.len() > self.state.max_outbox_bytes {
+        if pending > 0 && pending + bytes.len() > self.cfg.max_outbox_bytes {
             self.state.count("serve_backpressure_disconnects_total");
             conn.read_deadline = None;
             conn.close_after_flush = true;
             if let Some(mut ctx) = ctx {
                 ctx.status = 408;
                 let err = error_reply(
-                    &ReqError::backpressure(self.state.max_outbox_bytes),
+                    &ReqError::backpressure(self.cfg.max_outbox_bytes),
                     ctx.trace,
                 );
                 conn.outbox.extend_from_slice(err.as_bytes());
@@ -1289,27 +1132,24 @@ impl EventLoop<'_> {
     /// writes keep their cursor — a reply line is never truncated and
     /// two replies can never interleave, because all output flows
     /// through this single per-connection buffer in enqueue order.
-    fn try_flush(&mut self, token: u64, conn: &mut Conn) -> Fate {
+    fn try_flush(&mut self, conn: &mut Conn) -> Fate {
         while conn.out_sent < conn.outbox.len() {
             match conn.stream.write(&conn.outbox[conn.out_sent..]) {
                 Ok(0) => return Fate::Close,
                 Ok(n) => {
                     conn.out_sent += n;
                     conn.total_flushed += n as u64;
-                    // Flush progress refreshes the write deadline.
-                    if conn.write_deadline.is_some() && self.state.write_timeout_ms > 0 {
-                        conn.write_deadline = Some(
-                            self.state
-                                .now_ms()
-                                .saturating_add(self.state.write_timeout_ms),
-                        );
+                    // Flush progress moves an armed write deadline.
+                    if conn.write_deadline.is_some() {
+                        conn.write_deadline =
+                            Some(self.now_ms().saturating_add(self.cfg.write_timeout_ms));
                     }
                     self.pop_settled(conn);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     // The kernel buffer is full: hand the rest to
                     // EPOLLOUT and arm the write-stall deadline.
-                    self.arm_write(token, conn);
+                    self.arm_write(conn);
                     self.report_outbox(conn);
                     return Fate::Keep;
                 }
@@ -1340,121 +1180,72 @@ impl EventLoop<'_> {
                 mark.ctx
                     .ledger
                     .record(Phase::Respond, ns_since(mark.respond_started));
-                self.state.observe_request(&mark.ctx);
+                self.observe_request(&mark.ctx);
             }
         }
     }
 
-    /// Arms (or re-arms) the read deadline for the next request line.
-    fn arm_read(&mut self, token: u64, conn: &mut Conn) {
-        let ms = self.state.read_timeout_ms;
-        if ms == 0 {
-            conn.read_deadline = None;
-            return;
-        }
-        let now = self.state.now_ms();
-        conn.read_deadline = Some(now.saturating_add(ms));
-        if !conn.read_entry_live {
-            conn.read_entry_live = true;
-            self.wheel.insert(
-                now,
-                ms,
-                Timer {
-                    token,
-                    kind: TimerKind::Read,
-                },
-            );
+    /// The daemon starts waiting for the connection's next request
+    /// line: its accept span starts now, and the line is due within the
+    /// read timeout from now, however its bytes trickle in.
+    fn await_line(&self, conn: &mut Conn) {
+        conn.accept_started = Instant::now();
+        let ms = self.cfg.read_timeout_ms;
+        conn.read_deadline = (ms > 0).then(|| self.now_ms().saturating_add(ms));
+    }
+
+    /// Arms the write-stall deadline while output is pending (flush
+    /// progress moves it; see `try_flush`).
+    fn arm_write(&self, conn: &mut Conn) {
+        let ms = self.cfg.write_timeout_ms;
+        if conn.write_deadline.is_none() && ms > 0 {
+            conn.write_deadline = Some(self.now_ms().saturating_add(ms));
         }
     }
 
-    /// Arms the write-stall deadline while output is pending.
-    fn arm_write(&mut self, token: u64, conn: &mut Conn) {
-        let ms = self.state.write_timeout_ms;
-        if ms == 0 {
-            conn.write_deadline = None;
-            return;
-        }
-        let now = self.state.now_ms();
-        if conn.write_deadline.is_none() {
-            conn.write_deadline = Some(now.saturating_add(ms));
-        }
-        if !conn.write_entry_live {
-            conn.write_entry_live = true;
-            self.wheel.insert(
-                now,
-                ms,
-                Timer {
-                    token,
-                    kind: TimerKind::Write,
-                },
-            );
-        }
+    /// The earliest armed deadline across every connection: the loop
+    /// sleeps until then.
+    fn next_deadline(&self) -> Option<u64> {
+        self.conns
+            .values()
+            .flat_map(|c| [c.read_deadline, c.write_deadline])
+            .flatten()
+            .min()
     }
 
-    /// Expires due wheel entries. Refreshed deadlines re-arm for the
-    /// remainder; disarmed ones are no-ops; genuinely expired ones are
-    /// the *only* source of timeout verdicts in the daemon.
-    fn on_timers(&mut self) {
-        let now = self.state.now_ms();
-        let mut fired = std::mem::take(&mut self.fired);
-        self.wheel.expire(now, &mut fired);
-        for timer in fired.drain(..) {
-            let Some(mut conn) = self.conns.remove(&timer.token) else {
+    /// Sheds every connection whose deadline has passed, in token
+    /// (accept) order. Expiry is the *only* source of timeout verdicts
+    /// in the daemon.
+    fn expire_deadlines(&mut self) {
+        let now = self.now_ms();
+        let due = |d: Option<u64>| d.is_some_and(|d| d <= now);
+        let expired: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| due(c.read_deadline) || due(c.write_deadline))
+            .map(|(&token, _)| token)
+            .collect();
+        for token in expired {
+            let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            let fate = match timer.kind {
-                TimerKind::Read => {
-                    conn.read_entry_live = false;
-                    match conn.read_deadline {
-                        None => Fate::Keep,
-                        Some(d) if now < d => {
-                            // Bytes arrived since arming: re-arm for
-                            // the refreshed remainder.
-                            conn.read_entry_live = true;
-                            self.wheel.insert(now, d - now, timer);
-                            Fate::Keep
-                        }
-                        Some(_) => {
-                            // The slow-loris case: no complete request
-                            // line within the deadline. One typed 408
-                            // (best effort), then close.
-                            self.state.count("serve_slow_client_disconnects_total");
-                            let err = ReqError::slow_client(self.state.read_timeout_ms);
-                            let reply = error_reply(&err, self.state.next_trace());
-                            conn.read_deadline = None;
-                            conn.close_after_flush = true;
-                            self.enqueue_line(&mut conn, &reply, None);
-                            self.try_flush(timer.token, &mut conn)
-                        }
-                    }
-                }
-                TimerKind::Write => {
-                    conn.write_entry_live = false;
-                    match conn.write_deadline {
-                        None => Fate::Keep,
-                        Some(d) if now < d => {
-                            conn.write_entry_live = true;
-                            self.wheel.insert(now, d - now, timer);
-                            Fate::Keep
-                        }
-                        Some(_) => {
-                            if conn.out_pending() > 0 {
-                                // No flush progress within the write
-                                // deadline: the client cannot absorb
-                                // its reply. Shed it.
-                                self.state.count("serve_slow_client_disconnects_total");
-                                Fate::Close
-                            } else {
-                                conn.write_deadline = None;
-                                Fate::Keep
-                            }
-                        }
-                    }
-                }
+            self.state.count("serve_slow_client_disconnects_total");
+            let fate = if due(conn.write_deadline) {
+                // No flush progress within the write deadline: the
+                // client cannot absorb its reply. Shed it.
+                Fate::Close
+            } else {
+                // The slow-loris case: no complete request line within
+                // the deadline. One typed 408 (best effort), then close.
+                let err = ReqError::slow_client(self.cfg.read_timeout_ms);
+                let reply = error_reply(&err, self.next_trace());
+                conn.read_deadline = None;
+                conn.close_after_flush = true;
+                self.enqueue_line(&mut conn, &reply, None);
+                self.try_flush(&mut conn)
             };
-            self.finish(timer.token, conn, fate);
+            self.finish(token, conn, fate);
         }
-        self.fired = fired;
     }
 
     /// Routes one request line to its handler, recording the parse span
@@ -1468,16 +1259,19 @@ impl EventLoop<'_> {
         line: &str,
         mut ctx: RequestCtx,
     ) -> Option<(RequestCtx, String)> {
-        let state = self.state;
+        let limits = Limits {
+            max_budget: self.cfg.max_budget,
+            deadline_ms: self.cfg.deadline_ms,
+        };
         let parse_started = Instant::now();
-        let parsed = parse_request(line, &state.limits);
+        let parsed = parse_request(line, &limits);
         ctx.ledger.record(Phase::Parse, ns_since(parse_started));
         let (op, reply) = match parsed {
-            Err(e) => ("malformed", refuse(state, &e, &mut ctx)),
-            Ok(Request::Status) => ("status", status_reply(state, ctx.trace)),
-            Ok(Request::Health) => ("health", health_reply(state, ctx.trace)),
-            Ok(Request::Metrics) => ("metrics", metrics_reply(state, ctx.trace)),
-            Ok(Request::Shutdown) => ("shutdown", shutdown_reply(state, ctx.trace)),
+            Err(e) => ("malformed", refuse(&self.state, &e, &mut ctx)),
+            Ok(Request::Status) => ("status", self.status_reply(ctx.trace)),
+            Ok(Request::Health) => ("health", self.health_reply(ctx.trace)),
+            Ok(Request::Metrics) => ("metrics", self.metrics_reply(ctx.trace)),
+            Ok(Request::Shutdown) => ("shutdown", self.shutdown_reply(ctx.trace)),
             Ok(Request::Run(spec)) => {
                 ctx.op = "run";
                 ctx.bench = Some(spec.bench.clone());
@@ -1497,12 +1291,11 @@ impl EventLoop<'_> {
     /// still landed in the cache and journal.
     fn deliver(&mut self, token: u64, ctx: RequestCtx, reply: String) {
         let Some(mut conn) = self.conns.remove(&token) else {
-            self.state.observe_request(&ctx);
+            self.observe_request(&ctx);
             return;
         };
         conn.phase = ConnPhase::Reading;
-        conn.accept_started = Instant::now();
-        self.arm_read(token, &mut conn);
+        self.await_line(&mut conn);
         self.enqueue_line(&mut conn, &reply, Some(ctx));
         self.finish(token, conn, Fate::Keep);
     }
@@ -1543,8 +1336,8 @@ impl EventLoop<'_> {
         specs: Vec<RunSpec>,
     ) -> Option<(RequestCtx, String)> {
         // Work submitted after the drain began is refused, not queued.
-        if self.state.draining() {
-            let reply = refuse(self.state, &ReqError::draining(), &mut ctx);
+        if self.draining {
+            let reply = refuse(&self.state, &ReqError::draining(), &mut ctx);
             return Some((ctx, reply));
         }
         let mut intent = None;
@@ -1573,7 +1366,7 @@ impl EventLoop<'_> {
     /// recovery row — owed work that must not shed itself — parks, and
     /// this returns `false`.
     fn pump(&mut self, id: u64) -> bool {
-        let state = self.state;
+        let state = &self.state;
         let Some(batch) = self.batches.get_mut(&id) else {
             return true;
         };
@@ -1583,7 +1376,7 @@ impl EventLoop<'_> {
             // Recovery keeps one row outstanding so live traffic keeps
             // most of the pool, and stops on drain: its undispatched rows
             // stay journaled for the next boot.
-            if recovery && (batch.outstanding > 0 || state.draining()) {
+            if recovery && (batch.outstanding > 0 || self.draining) {
                 return true;
             }
             let index = batch.next;
@@ -1613,7 +1406,15 @@ impl EventLoop<'_> {
                     resume_from,
                     recovery,
                 });
-            match submit_row(state, (id, index), &row.spec, &ready, plan, lone) {
+            match submit_row(
+                state,
+                &self.pool,
+                (id, index),
+                &row.spec,
+                &ready,
+                plan,
+                lone,
+            ) {
                 Ok(()) => {
                     batch.next += 1;
                     batch.outstanding += 1;
@@ -1678,9 +1479,8 @@ impl EventLoop<'_> {
     /// journaled and its spills are garbage-collected (a lone run's own
     /// callback retired it already).
     fn take_settled(&mut self, id: u64) -> Option<(u64, RequestCtx, String)> {
-        let state = self.state;
         let batch = self.batches.get(&id)?;
-        let stopped = matches!(batch.owner, Owner::Recovery { .. }) && state.draining();
+        let stopped = matches!(batch.owner, Owner::Recovery { .. }) && self.draining;
         if batch.outstanding > 0 || (batch.next < batch.rows.len() && !stopped) {
             return None;
         }
@@ -1697,7 +1497,7 @@ impl EventLoop<'_> {
         // Every row has landed and any reply is about to reach its client:
         // retire the intent the batch still holds.
         let journal_started = Instant::now();
-        if let (Some(d), Some(intent)) = (&state.durable, batch.intent) {
+        if let (Some(d), Some(intent)) = (&self.state.durable, batch.intent) {
             d.retire(intent, batch.rows.iter().map(|row| row.spec.bench.as_str()));
             if let Owner::Client { ctx, .. } = &mut batch.owner {
                 ctx.ledger.record(Phase::Journal, ns_since(journal_started));
@@ -1714,7 +1514,7 @@ impl EventLoop<'_> {
                         ctx.cached = cached;
                         run_reply(ctx.trace, cached, &report)
                     }
-                    SweepOutcome::Failed(e) => refuse(state, &e, &mut ctx),
+                    SweepOutcome::Failed(e) => refuse(&self.state, &e, &mut ctx),
                 };
                 Some((token, ctx, reply))
             }
@@ -1724,7 +1524,7 @@ impl EventLoop<'_> {
                     .into_iter()
                     .map(|row| {
                         if let SweepOutcome::Failed(e) = &row.outcome {
-                            state.count(refusal_metric(e.code));
+                            self.state.count(refusal_metric(e.code));
                         }
                         (row.spec.bench, row.outcome)
                     })
@@ -1737,7 +1537,7 @@ impl EventLoop<'_> {
                 // A failed resume still counts: the run was re-attempted,
                 // which is all the journal promises.
                 let resumed = batch.rows.iter().filter(|row| row.ready.is_some()).count() as u64;
-                if let Some(d) = &state.durable {
+                if let Some(d) = &self.state.durable {
                     d.recovery.runs_resumed.fetch_add(resumed, Ordering::SeqCst);
                     if resumed > 0 && batch.rows.len() > 1 {
                         d.recovery.sweeps_resumed.fetch_add(1, Ordering::SeqCst);
@@ -1745,14 +1545,14 @@ impl EventLoop<'_> {
                 }
                 // Crash recovery is attributable: the access log records
                 // the resume under the trace id of the original request.
-                if state.access.is_some() {
+                if self.access.is_some() {
                     let mut w = JsonWriter::object();
-                    w.field_u64("ts_ms", state.now_ms());
+                    w.field_u64("ts_ms", self.now_ms());
                     w.field_str("trace_id", &format_trace_id(trace));
                     w.field_str("op", "resume");
                     w.field_u64("status", 200);
                     w.field_u64("runs_resumed", resumed);
-                    state.log_access(&w.finish());
+                    self.log_access(&w.finish());
                 }
                 None
             }
@@ -1767,7 +1567,7 @@ impl EventLoop<'_> {
         let reading = !matches!(conn.phase, ConnPhase::InFlight)
             && !conn.close_after_flush
             && !conn.eof
-            && conn.inbuf.len() <= self.state.max_request_bytes + READ_CHUNK;
+            && conn.inbuf.len() <= self.cfg.max_request_bytes + READ_CHUNK;
         if reading {
             want |= EPOLLIN;
         }
@@ -1786,39 +1586,218 @@ impl EventLoop<'_> {
             mark.ctx
                 .ledger
                 .record(Phase::Respond, ns_since(mark.respond_started));
-            self.state.observe_request(&mark.ctx);
+            self.observe_request(&mark.ctx);
         }
-        if conn.gauge_reported > 0 {
-            self.state
-                .outbox_bytes
-                .fetch_sub(conn.gauge_reported, Ordering::SeqCst);
-            conn.gauge_reported = 0;
-        }
+        self.outbox_bytes -= conn.gauge_reported;
         self.epoll.del(conn.fd);
-        self.state.connections.fetch_sub(1, Ordering::SeqCst);
+        self.connections -= 1;
         // Dropping the stream closes the fd (and with it any stale
         // epoll registration).
     }
 
     /// Diff-updates this connection's share of `serve_outbox_bytes`.
-    fn report_outbox(&self, conn: &mut Conn) {
+    fn report_outbox(&mut self, conn: &mut Conn) {
         let pending = conn.out_pending() as u64;
-        if pending > conn.gauge_reported {
-            self.state
-                .outbox_bytes
-                .fetch_add(pending - conn.gauge_reported, Ordering::SeqCst);
-        } else {
-            self.state
-                .outbox_bytes
-                .fetch_sub(conn.gauge_reported - pending, Ordering::SeqCst);
-        }
+        self.outbox_bytes = self.outbox_bytes - conn.gauge_reported + pending;
         conn.gauge_reported = pending;
+    }
+
+    /// Folds one finished request into the per-op latency histogram
+    /// and the access log, and releases the in-flight gauge.
+    fn observe_request(&mut self, ctx: &RequestCtx) {
+        self.inflight_requests -= 1;
+        let total_ns = ctx.ledger.total_wall_ns();
+        lock(&self.state.metrics).observe(op_duration_metric(ctx.op), total_ns / 1_000_000);
+        if self.access.is_some() {
+            let record = self.access_record(ctx, total_ns);
+            self.log_access(&record);
+        }
+    }
+
+    /// Appends one raw JSONL line to the access log (best effort: a
+    /// full disk must never take the serving path down with it).
+    fn log_access(&mut self, record: &str) {
+        if let Some(w) = &mut self.access {
+            let _ = writeln!(w, "{record}");
+            let _ = w.flush();
+        }
+    }
+
+    /// Renders one access-log record. Every record carries all seven
+    /// span phases; crossing the `--slow-ms` threshold promotes it
+    /// with compute-attribution detail.
+    fn access_record(&self, ctx: &RequestCtx, total_ns: u64) -> String {
+        let total_us = total_ns / 1_000;
+        let slow = self.cfg.slow_ms.is_some_and(|ms| total_us / 1_000 >= ms);
+        let mut spans = JsonWriter::object();
+        for phase in Phase::ALL {
+            let key = format!("{}_us", phase.label());
+            spans.field_u64(&key, ctx.ledger.wall_ns(phase) / 1_000);
+        }
+        let mut w = JsonWriter::object();
+        w.field_u64("ts_ms", self.now_ms());
+        w.field_str("trace_id", &format_trace_id(ctx.trace));
+        w.field_str("op", ctx.op);
+        w.field_u64("status", u64::from(ctx.status));
+        w.field_bool("cached", ctx.cached);
+        if let Some(bench) = &ctx.bench {
+            w.field_str("bench", bench);
+        }
+        w.field_u64("duration_us", total_us);
+        w.field_raw("spans", &spans.finish());
+        w.field_bool("slow", slow);
+        if slow {
+            // Simulated cycles behind the compute phase (sweeps add up
+            // their rows).
+            w.field_u64("compute_cycles", ctx.ledger.cycles(Phase::Compute));
+            w.field_u64("trace_events", ctx.trace_events);
+        }
+        w.finish()
+    }
+
+    /// Snapshot the live gauges and render the Prometheus text.
+    fn prometheus_text(&self) -> String {
+        let mut m = lock(&self.state.metrics);
+        m.gauge_set("serve_queue_depth", self.pool.queued() as f64);
+        m.gauge_set("serve_inflight", self.pool.inflight() as f64);
+        m.gauge_set("serve_cache_entries", self.state.cache.len() as f64);
+        m.gauge_set("serve_draining", f64::from(u8::from(self.draining)));
+        m.gauge_set("serve_connections", self.connections as f64);
+        m.gauge_set("serve_inflight_requests", self.inflight_requests as f64);
+        m.gauge_set("serve_outbox_bytes", self.outbox_bytes as f64);
+        // Refresh the quantile gauges from the log2 histograms so every
+        // scrape carries current p50/p90/p99/p999 estimates alongside
+        // the raw buckets.
+        for (hist, gauge, q) in QUANTILE_GAUGES {
+            if let Some(estimate) = m.histogram(hist).map(|h| h.quantile(q)) {
+                m.gauge_set(gauge, estimate);
+            }
+        }
+        m.to_prometheus_text()
+    }
+
+    fn status_reply(&self, trace: u64) -> String {
+        let mut w = JsonWriter::object();
+        w.field_bool("ok", true);
+        w.field_str("op", "status");
+        w.field_str("trace_id", &format_trace_id(trace));
+        w.field_bool("draining", self.draining);
+        w.field_u64("uptime_ms", self.now_ms());
+        w.field_u64("workers", self.pool.workers() as u64);
+        w.field_u64("queue_depth", self.pool.queue_depth() as u64);
+        w.field_u64("queued", self.pool.queued() as u64);
+        w.field_u64("inflight", self.pool.inflight() as u64);
+        w.field_u64("inflight_requests", self.inflight_requests as u64);
+        w.field_u64("cache_entries", self.state.cache.len() as u64);
+        w.field_u64("cache_capacity", self.state.cache.capacity() as u64);
+        w.finish()
+    }
+
+    /// The `health` op: liveness/readiness in one line. `healthy` is the
+    /// single bit an orchestrator needs — the daemon is accepting work,
+    /// which it does until a drain begins; the rest explains the load.
+    fn health_reply(&self, trace: u64) -> String {
+        let mut w = JsonWriter::object();
+        w.field_bool("ok", true);
+        w.field_str("op", "health");
+        w.field_str("trace_id", &format_trace_id(trace));
+        w.field_bool("healthy", !self.draining);
+        w.field_bool("draining", self.draining);
+        w.field_u64("workers", self.pool.workers() as u64);
+        w.field_u64("queued", self.pool.queued() as u64);
+        w.field_u64("inflight", self.pool.inflight() as u64);
+        w.field_u64("connections", self.connections as u64);
+        w.field_u64("max_connections", self.cfg.max_connections as u64);
+        // Recovery block: stable shape whether or not durability is on, so
+        // orchestrators can always distinguish a clean boot (`clean_boot`
+        // true, all counters zero) from a recovered one.
+        w.field_bool("durable", self.state.durable.is_some());
+        match &self.state.durable {
+            Some(d) => {
+                let r = &d.recovery;
+                w.field_bool("clean_boot", r.clean_boot);
+                w.field_bool("recovery_active", r.active.load(Ordering::SeqCst));
+                w.field_u64("journal_replayed", r.journal_replayed);
+                w.field_u64("torn_tails_discarded", r.torn_discards);
+                w.field_u64("pending_intents", r.pending_intents);
+                w.field_u64("sweeps_resumed", r.sweeps_resumed.load(Ordering::SeqCst));
+                w.field_u64("runs_resumed", r.runs_resumed.load(Ordering::SeqCst));
+                w.field_u64(
+                    "resumed_instructions",
+                    r.resumed_instructions.load(Ordering::SeqCst),
+                );
+                w.field_u64(
+                    "redone_instructions",
+                    r.redone_instructions.load(Ordering::SeqCst),
+                );
+                w.field_u64("cache_reloaded", r.cache_reloaded);
+            }
+            None => {
+                w.field_bool("clean_boot", true);
+                w.field_bool("recovery_active", false);
+                w.field_u64("journal_replayed", 0);
+                w.field_u64("torn_tails_discarded", 0);
+                w.field_u64("pending_intents", 0);
+                w.field_u64("sweeps_resumed", 0);
+                w.field_u64("runs_resumed", 0);
+                w.field_u64("resumed_instructions", 0);
+                w.field_u64("redone_instructions", 0);
+                w.field_u64("cache_reloaded", 0);
+            }
+        }
+        w.finish()
+    }
+
+    fn metrics_reply(&self, trace: u64) -> String {
+        let mut w = JsonWriter::object();
+        w.field_bool("ok", true);
+        w.field_str("op", "metrics");
+        w.field_str("trace_id", &format_trace_id(trace));
+        w.field_str("text", &self.prometheus_text());
+        w.finish()
+    }
+
+    fn shutdown_reply(&mut self, trace: u64) -> String {
+        // Setting the flag is enough: the shutdown line arrived through
+        // the event loop, which re-checks the drain state every
+        // iteration.
+        self.draining = true;
+        let mut w = JsonWriter::object();
+        w.field_bool("ok", true);
+        w.field_str("op", "shutdown");
+        w.field_str("trace_id", &format_trace_id(trace));
+        w.field_bool("draining", true);
+        w.finish()
+    }
+
+    /// Renders one full HTTP response (status line through body). Only
+    /// `GET /metrics` exists; anything else is a 404. `Connection: close`
+    /// is honored by the caller flagging the connection to close after the
+    /// response flushes.
+    fn http_response(&self, path: &str) -> String {
+        let (status, content_type, body) = if path == "/metrics" {
+            (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                self.prometheus_text(),
+            )
+        } else {
+            (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "only GET /metrics is served here\n".to_owned(),
+            )
+        };
+        format!(
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
     }
 }
 
 /// Counts a refusal under the right metric and renders the error reply
 /// (the trace id rides along so even a 408/429/503 is attributable).
-fn refuse(state: &Arc<State>, e: &ReqError, ctx: &mut RequestCtx) -> String {
+fn refuse(state: &State, e: &ReqError, ctx: &mut RequestCtx) -> String {
     ctx.status = e.code;
     state.count(refusal_metric(e.code));
     error_reply(e, ctx.trace)
@@ -1895,6 +1874,7 @@ fn admit_row(
 /// to read their spans.
 fn submit_row(
     state: &Arc<State>,
+    pool: &WorkerPool,
     slot: (u64, usize),
     spec: &RunSpec,
     ready: &Arc<Prepared>,
@@ -1903,13 +1883,13 @@ fn submit_row(
 ) -> Result<(), SubmitError> {
     let submitted = Instant::now();
     let deadline_ms = spec.deadline_ms;
-    let traced = state.traced() && !plan.as_ref().is_some_and(|p| p.recovery);
+    let traced = state.traced && !plan.as_ref().is_some_and(|p| p.recovery);
     let retire = plan.clone().filter(|_| lone);
     let ready = Arc::clone(ready);
     let key = ready.key;
     let job = move || run_until(&ready, submitted, deadline_ms, plan.as_ref(), traced);
     let shared = Arc::clone(state);
-    state.pool.submit(job, move |result| {
+    pool.submit(job, move |result| {
         let mut done = settle(&shared, slot, key, result);
         // Retire the intent however the run ended: the client gets its
         // reply (success or typed error), so the daemon owes nothing.
@@ -2059,135 +2039,11 @@ fn submit_error(e: SubmitError) -> ReqError {
     }
 }
 
-fn status_reply(state: &Arc<State>, trace: u64) -> String {
-    let mut w = JsonWriter::object();
-    w.field_bool("ok", true);
-    w.field_str("op", "status");
-    w.field_str("trace_id", &format_trace_id(trace));
-    w.field_bool("draining", state.draining());
-    w.field_u64("uptime_ms", state.now_ms());
-    w.field_u64("workers", state.pool.workers() as u64);
-    w.field_u64("queue_depth", state.pool.queue_depth() as u64);
-    w.field_u64("queued", state.pool.queued() as u64);
-    w.field_u64("inflight", state.pool.inflight() as u64);
-    w.field_u64(
-        "inflight_requests",
-        state.inflight_requests.load(Ordering::SeqCst) as u64,
-    );
-    w.field_u64("cache_entries", state.cache.len() as u64);
-    w.field_u64("cache_capacity", state.cache.capacity() as u64);
-    w.finish()
-}
-
-/// The `health` op: liveness/readiness in one line. `healthy` is the
-/// single bit an orchestrator needs — the daemon is accepting work,
-/// which it does until a drain begins; the rest explains the load.
-fn health_reply(state: &Arc<State>, trace: u64) -> String {
-    let draining = state.draining();
-    let mut w = JsonWriter::object();
-    w.field_bool("ok", true);
-    w.field_str("op", "health");
-    w.field_str("trace_id", &format_trace_id(trace));
-    w.field_bool("healthy", !draining);
-    w.field_bool("draining", draining);
-    w.field_u64("workers", state.pool.workers() as u64);
-    w.field_u64("queued", state.pool.queued() as u64);
-    w.field_u64("inflight", state.pool.inflight() as u64);
-    w.field_u64(
-        "connections",
-        state.connections.load(Ordering::SeqCst) as u64,
-    );
-    w.field_u64("max_connections", state.max_connections as u64);
-    // Recovery block: stable shape whether or not durability is on, so
-    // orchestrators can always distinguish a clean boot (`clean_boot`
-    // true, all counters zero) from a recovered one.
-    w.field_bool("durable", state.durable.is_some());
-    match &state.durable {
-        Some(d) => {
-            let r = &d.recovery;
-            w.field_bool("clean_boot", r.clean_boot);
-            w.field_bool("recovery_active", r.active.load(Ordering::SeqCst));
-            w.field_u64("journal_replayed", r.journal_replayed);
-            w.field_u64("torn_tails_discarded", r.torn_discards);
-            w.field_u64("pending_intents", r.pending_intents);
-            w.field_u64("sweeps_resumed", r.sweeps_resumed.load(Ordering::SeqCst));
-            w.field_u64("runs_resumed", r.runs_resumed.load(Ordering::SeqCst));
-            w.field_u64(
-                "resumed_instructions",
-                r.resumed_instructions.load(Ordering::SeqCst),
-            );
-            w.field_u64(
-                "redone_instructions",
-                r.redone_instructions.load(Ordering::SeqCst),
-            );
-            w.field_u64("cache_reloaded", r.cache_reloaded);
-        }
-        None => {
-            w.field_bool("clean_boot", true);
-            w.field_bool("recovery_active", false);
-            w.field_u64("journal_replayed", 0);
-            w.field_u64("torn_tails_discarded", 0);
-            w.field_u64("pending_intents", 0);
-            w.field_u64("sweeps_resumed", 0);
-            w.field_u64("runs_resumed", 0);
-            w.field_u64("resumed_instructions", 0);
-            w.field_u64("redone_instructions", 0);
-            w.field_u64("cache_reloaded", 0);
-        }
-    }
-    w.finish()
-}
-
-fn metrics_reply(state: &Arc<State>, trace: u64) -> String {
-    let mut w = JsonWriter::object();
-    w.field_bool("ok", true);
-    w.field_str("op", "metrics");
-    w.field_str("trace_id", &format_trace_id(trace));
-    w.field_str("text", &state.prometheus_text());
-    w.finish()
-}
-
-fn shutdown_reply(state: &Arc<State>, trace: u64) -> String {
-    // Setting the flag is enough: the shutdown line arrived through the
-    // event loop, which re-checks the drain state every iteration — no
-    // self-connection wakeup needed anymore.
-    state.draining.store(true, Ordering::SeqCst);
-    let mut w = JsonWriter::object();
-    w.field_bool("ok", true);
-    w.field_str("op", "shutdown");
-    w.field_str("trace_id", &format_trace_id(trace));
-    w.field_bool("draining", true);
-    w.finish()
-}
-
-/// Renders one full HTTP response (status line through body). Only
-/// `GET /metrics` exists; anything else is a 404. `Connection: close`
-/// is honored by the caller flagging the connection to close after the
-/// response flushes.
-fn http_response(state: &Arc<State>, path: &str) -> String {
-    let (status, content_type, body) = if path == "/metrics" {
-        (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            state.prometheus_text(),
-        )
-    } else {
-        (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "only GET /metrics is served here\n".to_owned(),
-        )
-    };
-    format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use powerchop::ManagerKind;
+    use std::io::{BufRead, BufReader};
 
     /// A small hmmer run, prepared the way the daemon prepares one.
     fn hmmer() -> Prepared {
@@ -2223,6 +2079,56 @@ mod tests {
         };
         let server = Server::bind(&cfg).expect("bind succeeds");
         assert_ne!(server.local_addr().port(), 0);
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_shed_at_its_write_deadline() {
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            jobs: Some(1),
+            write_timeout_ms: 300,
+            // No read deadline, and an outbox cap far above what the
+            // socket buffers hold: only the write deadline can shed
+            // this client.
+            read_timeout_ms: 0,
+            max_outbox_bytes: 1 << 30,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(&cfg).expect("bind succeeds");
+        let addr = server.local_addr();
+        let daemon = std::thread::spawn(move || server.run());
+        let ask = |line: &str| {
+            let mut s = TcpStream::connect(addr).expect("connects");
+            writeln!(s, "{line}").expect("request writes");
+            let mut reply = String::new();
+            BufReader::new(s)
+                .read_line(&mut reply)
+                .expect("reply reads");
+            reply
+        };
+        // 10,000 metrics replies of about 4 KiB each, several times what
+        // both ends' socket buffers hold; the client never reads one.
+        let mut stalled = TcpStream::connect(addr).expect("connects");
+        let flood = "{\"op\":\"metrics\"}\n".repeat(10_000);
+        stalled.write_all(flood.as_bytes()).expect("flood writes");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let metrics = loop {
+            let m = ask(r#"{"op":"metrics"}"#);
+            if m.contains("serve_slow_client_disconnects_total 1") {
+                break m;
+            }
+            assert!(Instant::now() < deadline, "stalled reader kept: {m}");
+            std::thread::sleep(Duration::from_millis(50));
+        };
+        assert!(
+            metrics.contains("serve_backpressure_disconnects_total 0"),
+            "{metrics}"
+        );
+        assert!(ask(r#"{"op":"shutdown"}"#).contains("\"draining\":true"));
+        daemon
+            .join()
+            .expect("loop joins")
+            .expect("loop exits cleanly");
     }
 
     #[test]

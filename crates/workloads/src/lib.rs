@@ -66,6 +66,20 @@ impl Suite {
             _ => CoreKind::Server,
         }
     }
+
+    /// Parses a suite name in its external spelling (the CLI's and the
+    /// serve protocol's, aliases included). Returns `None` for unknown
+    /// names; each caller words its own error.
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<Suite> {
+        Some(match name {
+            "spec-int" | "specint" => Suite::SpecInt,
+            "spec-fp" | "specfp" => Suite::SpecFp,
+            "parsec" => Suite::Parsec,
+            "mobile" | "mobilebench" => Suite::MobileBench,
+            _ => return None,
+        })
+    }
 }
 
 impl std::fmt::Display for Suite {
@@ -322,6 +336,28 @@ mod tests {
             assert_eq!(by_name(b.name()).unwrap().name(), b.name());
         }
         assert!(by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn suite_names_and_aliases_parse() {
+        let names = [
+            ("spec-int", Suite::SpecInt),
+            ("specint", Suite::SpecInt),
+            ("spec-fp", Suite::SpecFp),
+            ("specfp", Suite::SpecFp),
+            ("parsec", Suite::Parsec),
+            ("mobile", Suite::MobileBench),
+            ("mobilebench", Suite::MobileBench),
+        ];
+        for (name, suite) in names {
+            assert_eq!(Suite::by_name(name), Some(suite), "{name}");
+        }
+        for suite in Suite::ALL {
+            assert!(names.iter().any(|&(_, s)| s == suite), "{suite} has a name");
+        }
+        for unknown in ["", "quake", "SPEC-INT", "spec int"] {
+            assert_eq!(Suite::by_name(unknown), None, "{unknown:?}");
+        }
     }
 
     #[test]

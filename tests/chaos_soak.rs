@@ -16,7 +16,7 @@
 //! slow-client read timeout, the max-connections gate, and the
 //! 408-expired run releasing its worker slot.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -232,6 +232,64 @@ fn slow_loris_clients_get_a_typed_408_and_are_disconnected() {
     let ok = conn.request(r#"{"op":"status"}"#);
     assert!(ok.contains("\"ok\":true"), "reply: {ok}");
     drop(conn);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_trickled_request_line_gets_a_typed_408_but_steady_lines_are_never_cut() {
+    let daemon = start(ServerConfig {
+        read_timeout_ms: 300,
+        ..test_config()
+    });
+
+    // A complete line every 100 ms for a second, three read timeouts'
+    // worth: each framed line re-arms the deadline, so a keep-alive
+    // client is never cut.
+    let mut steady = daemon.connect();
+    for _ in 0..10 {
+        let ok = steady.request(r#"{"op":"status"}"#);
+        assert!(ok.contains("\"ok\":true"), "reply: {ok}");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    drop(steady);
+
+    // One byte every 100 ms of a line that never ends (offset 50 ms
+    // from the deadline, so no byte races the close): bytes alone never
+    // move the read deadline, so the 408 comes one timeout after accept.
+    let mut stream = TcpStream::connect(daemon.addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout sets");
+    let started = Instant::now();
+    std::thread::sleep(Duration::from_millis(50));
+    let mut trickle = br#"{"op":"status"}"#.iter().cycle();
+    let mut received = Vec::new();
+    let mut chunk = [0u8; 512];
+    while !received.contains(&b'\n') {
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "no 408 within 2 s of trickling"
+        );
+        let byte = trickle.next().copied().unwrap_or(b'x');
+        stream.write_all(&[byte]).expect("trickled byte writes");
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => received.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("trickling client's read failed: {e}"),
+        }
+    }
+    let reply = String::from_utf8(received).expect("reply is UTF-8");
+    validate_json(reply.trim_end()).expect("408 reply is valid JSON");
+    assert!(reply.contains("\"code\":408"), "reply: {reply}");
+    assert!(reply.contains("slow-client"), "reply: {reply}");
+    // ...and the connection is closed behind it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout sets");
+    let mut rest = Vec::new();
+    let n = stream.read_to_end(&mut rest).expect("read to EOF");
+    assert_eq!(n, 0, "trickling clients are disconnected after the 408");
     daemon.shutdown();
 }
 
