@@ -137,6 +137,9 @@ const DROWSY: u64 = 1 << 61;
 const FLAGS: u64 = VALID | DIRTY | DROWSY;
 /// Line-offset bits needed to leave the flag bits free (8-byte lines).
 const MIN_LINE_SHIFT: u32 = 3;
+/// `Cache::last_tag` when no line is remembered: above every tag
+/// (`addr >> line_shift` never reaches bit 61), so no address matches it.
+const NO_LINE: u64 = u64::MAX;
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement
 /// and run-time way deactivation.
@@ -144,6 +147,11 @@ const MIN_LINE_SHIFT: u32 = 3;
 /// Each line is a packed tag word (tag plus valid/dirty/drowsy flags)
 /// and an LRU tick, kept in two flat arrays allocated zeroed, so an
 /// access finds its hit or picks its victim in one scan of the set.
+///
+/// The cache also remembers which line its last [`Cache::access`] hit or
+/// filled and where it sits, so a run of accesses to that one line can
+/// be charged in O(1) with `Cache::repeat`. Every other mutation
+/// forgets it, and it is never serialized.
 ///
 /// # Examples
 ///
@@ -174,6 +182,11 @@ pub struct Cache {
     awake_valid: usize,
     valid: usize,
     stats: CacheStats,
+    /// Tag of the line the last `access` hit or filled, or `NO_LINE`.
+    last_tag: u64,
+    /// Index into `tags`/`ticks` of that line (meaningless under
+    /// `NO_LINE`).
+    last_slot: usize,
 }
 
 impl Cache {
@@ -218,6 +231,8 @@ impl Cache {
             awake_valid: 0,
             valid: 0,
             stats: CacheStats::default(),
+            last_tag: NO_LINE,
+            last_slot: 0,
         }
     }
 
@@ -266,6 +281,8 @@ impl Cache {
         self.stats.accesses += 1;
         let tag = addr >> self.line_shift;
         let range = self.set_range(addr);
+        self.last_tag = tag;
+        let base = range.start;
         let tags = &mut self.tags[range.clone()];
         let ticks = &mut self.ticks[range];
 
@@ -288,6 +305,7 @@ impl Cache {
                     self.awake_valid += 1;
                 }
                 self.stats.hits += 1;
+                self.last_slot = base + way;
                 return AccessOutcome {
                     hit: true,
                     writeback: false,
@@ -315,10 +333,48 @@ impl Cache {
         }
         tags[victim] = VALID | tag | if is_store { DIRTY } else { 0 };
         ticks[victim] = self.tick;
+        self.last_slot = base + victim;
         AccessOutcome {
             hit: false,
             writeback,
             woke_drowsy: false,
+        }
+    }
+
+    /// Whether `addr` lies in the line the last [`Cache::access`] hit or
+    /// filled, with no mutation since: the one line [`Cache::repeat`]
+    /// charges.
+    #[must_use]
+    #[inline]
+    pub(crate) fn in_last_line(&self, addr: u64) -> bool {
+        addr >> self.line_shift == self.last_tag
+    }
+
+    /// Charges `n` more accesses to the line the last [`Cache::access`]
+    /// hit or filled, exactly as `n` more calls of `access` on it would:
+    /// each is a hit that advances the LRU tick (the line's tick ends at
+    /// the last one), a store dirties the line, and a drowsy line is
+    /// woken once. It skips the set scan that `access` pays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no line is remembered: before the first `access`, or
+    /// after [`Cache::set_active_ways`], [`Cache::set_all_drowsy`] or
+    /// [`Cache::restore_from`] (each forgets it).
+    #[inline]
+    pub(crate) fn repeat(&mut self, n: u64, is_store: bool) {
+        assert!(self.last_tag != NO_LINE, "repeat with no remembered line");
+        self.tick += n;
+        self.stats.accesses += n;
+        self.stats.hits += n;
+        self.ticks[self.last_slot] = self.tick;
+        let word = &mut self.tags[self.last_slot];
+        if is_store {
+            *word |= DIRTY;
+        }
+        if *word & DROWSY != 0 {
+            *word &= !DROWSY;
+            self.awake_valid += 1;
         }
     }
 
@@ -348,6 +404,7 @@ impl Cache {
             "active ways {ways} outside 1..={}",
             self.ways
         );
+        self.last_tag = NO_LINE;
         let mut flushed_dirty = 0;
         if ways < self.active_ways {
             for set in 0..self.num_sets {
@@ -388,6 +445,7 @@ impl Cache {
     ///
     /// Returns the number of lines put drowsy.
     pub fn set_all_drowsy(&mut self) -> usize {
+        self.last_tag = NO_LINE;
         let mut count = 0;
         for word in &mut self.tags {
             if *word & (VALID | DROWSY) == VALID {
@@ -429,6 +487,7 @@ impl Cache {
     /// line's tag reaches the flag bits (no address can produce one), or
     /// the restored active-way count is outside this cache's geometry.
     pub fn restore_from(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
+        self.last_tag = NO_LINE;
         for (word, last) in self.tags.iter_mut().zip(self.ticks.iter_mut()) {
             let tag = r.take_u64()?;
             if tag & FLAGS != 0 {
@@ -662,6 +721,95 @@ mod tests {
         assert!(c.probe(addr(1, 0)));
         assert!(!c.probe(addr(9, 0)));
         assert_eq!(c.stats(), before);
+    }
+
+    fn snapshot_bytes(c: &Cache) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        c.snapshot_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Drowses the remembered line and keeps it remembered. No public call
+    /// sequence hands `repeat` a drowsy line (`set_all_drowsy` forgets the
+    /// line), so this is how the test reaches `repeat`'s wake.
+    fn drowse_last_line(c: &mut Cache) {
+        let word = &mut c.tags[c.last_slot];
+        if *word & DROWSY == 0 {
+            *word |= DROWSY;
+            c.awake_valid -= 1;
+        }
+    }
+
+    #[test]
+    fn repeat_matches_access_on_the_last_line() {
+        for ways in [1u32, 2, 8, 16] {
+            let lines = 4 * 4 * u64::from(ways);
+            powerchop_faults::check::cases(&format!("repeat, {ways} ways"), 48, |rng| {
+                let mut c = small_cache(ways);
+                let mut last = None;
+                for _ in 0..rng.gen_range(300) {
+                    match rng.gen_range(20) {
+                        0 => {
+                            c.set_active_ways(1 + rng.gen_range(u64::from(ways)) as u32);
+                        }
+                        1 => {
+                            c.set_all_drowsy();
+                        }
+                        2 => {
+                            let bytes = snapshot_bytes(&c);
+                            c.restore_from(&mut ByteReader::new(&bytes))
+                                .expect("a cache restores its own snapshot");
+                        }
+                        _ => {
+                            let a = rng.gen_range(lines * 64);
+                            c.access(a, rng.gen_bool(0.3));
+                            assert!(c.in_last_line(a), "access remembers its line");
+                            last = Some(a);
+                            continue;
+                        }
+                    }
+                    if let Some(a) = last.take() {
+                        assert!(!c.in_last_line(a), "gating, drowsing and restore forget");
+                    }
+                }
+                let addr = match last {
+                    Some(a) if rng.gen_bool(0.7) => a,
+                    _ => {
+                        let a = rng.gen_range(lines * 64);
+                        c.access(a, rng.gen_bool(0.3));
+                        a
+                    }
+                };
+                if rng.gen_bool(0.3) {
+                    drowse_last_line(&mut c);
+                }
+                let (n, store) = (1 + rng.gen_range(16), rng.gen_bool(0.5));
+                let mut walked = c.clone();
+                for _ in 0..n {
+                    let a = (addr & !63) | rng.gen_range(64);
+                    assert!(walked.access(a, store).hit);
+                }
+                c.repeat(n, store);
+                assert!(c.in_last_line(addr));
+                assert_eq!(c.stats(), walked.stats(), "stats");
+                assert_eq!(snapshot_bytes(&c), snapshot_bytes(&walked), "snapshot");
+                assert_eq!(
+                    c.awake_fraction().to_bits(),
+                    walked.awake_fraction().to_bits(),
+                    "awake fraction"
+                );
+                assert_eq!(c.resident_lines(), walked.resident_lines(), "residency");
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no remembered line")]
+    fn repeat_needs_a_remembered_line() {
+        let mut c = small_cache(2);
+        c.access(addr(1, 0), false);
+        c.set_all_drowsy();
+        c.repeat(1, false);
     }
 
     #[test]

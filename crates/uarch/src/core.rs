@@ -308,6 +308,11 @@ impl CoreModel {
     /// `vstore` (`mem` is `Some`) its cache accesses — the access's lines
     /// on the VPU, or one 8-byte access per lane under scalar emulation
     /// (the same lines, so extra L1 traffic but similar MLC behaviour).
+    ///
+    /// Emulated lanes whose 8 bytes lie wholly in the L1D line the last
+    /// access touched are L1D hits on that line; a run of them is charged
+    /// in O(1) before the next lane that leaves the line, since the tick
+    /// order is the LRU state.
     pub fn vector_op(&mut self, mem: Option<MemAccess>) {
         self.stats.vec_ops += 1;
         let slots = u64::from(self.vpu.issue_slots_for_vector_op());
@@ -324,9 +329,26 @@ impl CoreModel {
         if active {
             self.access_lines(mem.addr, u64::from(mem.size), mem.is_store);
         } else {
+            let mut pending = 0;
             for lane in 0..VLEN as u64 {
-                self.access_lines(mem.addr.wrapping_add(8 * lane), 8, mem.is_store);
+                let addr = mem.addr.wrapping_add(8 * lane);
+                if self.l1d.in_last_line(addr) && self.l1d.in_last_line(addr.wrapping_add(7)) {
+                    pending += 1;
+                    continue;
+                }
+                self.repeat_l1_hits(pending, mem.is_store);
+                pending = 0;
+                self.access_lines(addr, 8, mem.is_store);
             }
+            self.repeat_l1_hits(pending, mem.is_store);
+        }
+    }
+
+    /// Charges `n` L1D hits on the line the last L1D access touched.
+    fn repeat_l1_hits(&mut self, n: u64, is_store: bool) {
+        if n > 0 {
+            self.l1d.repeat(n, is_store);
+            self.stats.l1_hits += n;
         }
     }
 
@@ -428,7 +450,15 @@ impl CoreModel {
         active_ways: "uarch_llc_active_ways",
     };
 
+    /// One line's access through the hierarchy. An access to the line
+    /// the last L1D access touched is an L1D hit charged without the set
+    /// scan: only L1D accesses change the L1D (this model gates and
+    /// drowses the MLC alone), so that line is still where it was.
     fn access_hierarchy(&mut self, addr: u64, is_store: bool) {
+        if self.l1d.in_last_line(addr) {
+            self.repeat_l1_hits(1, is_store);
+            return;
+        }
         if self.l1d.access(addr, is_store).hit {
             self.stats.l1_hits += 1;
             return;
